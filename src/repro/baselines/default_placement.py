@@ -395,11 +395,6 @@ class DefaultPlacement:
         Used both to render the baseline schedule and as the fallback
         execution node for statements the partitioner decides not to split.
         """
-        result = self.place(program)
-        return dict(result.node_of_seq)
-
-    def place(self, program: Program) -> PlacementResult:
-        """Place every nest of ``program``; returns simulator-ready units."""
         program.declare_on(self.machine)
         # The paper's default toolchain also performs the VTune-guided
         # MCDRAM placement (Section 6.1); apply it so comparisons against
@@ -407,25 +402,24 @@ class DefaultPlacement:
         from repro.core.partitioner import profile_access_counts
 
         self.machine.record_profile(profile_access_counts(program))
-        chunk_of_nest: Dict[str, Tuple[List[int], int]] = {}
+        node_of_seq: Dict[int, int] = {}
+        seq_base = 0
         for nest in program.nests:
-            preferences = self._chunk_preferences(program, nest)
-            assignment = self._assign_chunks(preferences)
-            chunk_of_nest[nest.name] = (assignment, len(assignment))
+            assignment = self._assign_chunks(self._chunk_preferences(program, nest))
+            chunk_count = len(assignment)
+            trip = max(nest.trip_count, 1)
+            for position, instance in enumerate(program.nest_instances(nest, seq_base)):
+                chunk = min(
+                    (position // nest.body_size) * chunk_count // trip,
+                    chunk_count - 1,
+                )
+                node_of_seq[instance.seq] = assignment[chunk]
+            seq_base += nest.instance_count
+        return node_of_seq
 
-        instance_counter: Dict[str, int] = {}
-        nest_by_name = {n.name: n for n in program.nests}
-
-        def assign(instance: StatementInstance) -> int:
-            assignment, chunk_count = chunk_of_nest[instance.nest_name]
-            position = instance_counter.get(instance.nest_name, 0)
-            instance_counter[instance.nest_name] = position + 1
-            nest = nest_by_name[instance.nest_name]
-            iteration_index = position // nest.body_size
-            chunk = min(
-                iteration_index * chunk_count // max(nest.trip_count, 1),
-                chunk_count - 1,
-            )
-            return assignment[chunk]
-
-        return placement_from_assignment(self.machine, program, assign)
+    def place(self, program: Program) -> PlacementResult:
+        """Place every nest of ``program``; returns simulator-ready units."""
+        node_of_seq = self.assignment(program)
+        return placement_from_assignment(
+            self.machine, program, lambda instance: node_of_seq[instance.seq]
+        )

@@ -514,6 +514,30 @@ def check_partition_accounting(partition) -> None:
         )
 
 
+def check_gate_rejection(prefix, full, bound) -> None:
+    """A gate candidate the bound would have stopped is in fact rejected.
+
+    ``prefix`` and ``full`` are the ``(cycles, movement)`` of the
+    simulated window prefix where the bound first fired and of the full
+    measure; ``bound`` is ``(best cycles, movement cap)``.  The prefix
+    must bound the full run from below on both metrics (units retire in
+    seq order and movement only accumulates), and the full run must fail
+    the gate's acceptance test ``cycles < best and movement <= cap``.
+    """
+    (prefix_cycles, prefix_movement), (cycles, movement) = prefix, full
+    best_cycles, movement_cap = bound
+    require(
+        prefix_cycles <= cycles and prefix_movement <= movement,
+        f"gate prefix (cycles {prefix_cycles}, movement {prefix_movement}) "
+        f"exceeds the full measure (cycles {cycles}, movement {movement})",
+    )
+    require(
+        not (cycles < best_cycles and movement <= movement_cap),
+        f"gate bound stopped a winning candidate: full cycles {cycles} < "
+        f"best {best_cycles} and movement {movement} <= cap {movement_cap}",
+    )
+
+
 def check_balanced_loads(
     balancer, threshold: Optional[float] = None, slack_cost: float = 0.0
 ) -> None:

@@ -99,15 +99,15 @@ class GeneratedCode:
         return sum(len(lines) for lines in self.lines_by_node.values())
 
 
-def _render(sub: Subcomputation) -> List[str]:
+def _render(sub: Subcomputation, source: str = "") -> List[str]:
     lines: List[str] = []
     waits = [r for r in sub.sub_results if r.from_node != sub.node]
     if waits:
         names = " and ".join(f"sync(T{r.producer_uid})" for r in waits)
         lines.append(names)
-    if sub.source:
-        # Unsplit statements carry their original text verbatim.
-        lines.append(sub.source)
+    if source:
+        # Unsplit statements render as their original text verbatim.
+        lines.append(source)
         return lines
     operands: List[str] = [str(g.access) for g in sub.gathered]
     operands += [f"T{r.producer_uid}" for r in sub.sub_results]
@@ -132,8 +132,9 @@ def generate_code(schedules: Iterable[StatementSchedule]) -> GeneratedCode:
     lines_by_node: Dict[int, List[str]] = {}
     tasks: List[TaskSpec] = []
     for schedule in schedules:
+        source = str(schedule.instance) if schedule.unsplit else ""
         for sub in schedule.subcomputations:
-            lines_by_node.setdefault(sub.node, []).extend(_render(sub))
+            lines_by_node.setdefault(sub.node, []).extend(_render(sub, source))
             tasks.append(task_spec_of(sub))
     return GeneratedCode(lines_by_node, tuple(tasks))
 

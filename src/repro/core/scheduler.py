@@ -111,6 +111,9 @@ class StatementSchedule:
     final_uid: int
     store_node: int
     mst_weight: int
+    #: The statement ran whole, as the default execution would
+    #: (:func:`schedule_star`); codegen renders it as its source text.
+    unsplit: bool = False
 
     @cached_property
     def movement(self) -> int:
@@ -313,7 +316,6 @@ def schedule_star(
         sub_results=(),
         store=instance.write,
         op_breakdown=breakdown,
-        source=str(instance),
     )
     balancer.record(node, cost)
     if var2node is not None or hit_model is not None:
@@ -329,6 +331,7 @@ def schedule_star(
         final_uid=sub.uid,
         store_node=node,
         mst_weight=sub.movement,
+        unsplit=True,
     )
 
 

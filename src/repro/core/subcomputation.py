@@ -64,8 +64,6 @@ class Subcomputation(NamedTuple):
     sub_results: Tuple[SubResult, ...] = ()
     store: Optional[Access] = None
     op_breakdown: Tuple[Tuple[str, int], ...] = ()
-    # Pretty-print override: unsplit statements render their original text.
-    source: str = ""
 
     @property
     def is_final(self) -> bool:

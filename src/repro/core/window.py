@@ -504,18 +504,29 @@ class WindowScheduler:
         self, program: Program, nest: LoopNest, window_size: int
     ) -> NestSchedule:
         """Schedule a whole nest with a fixed window size."""
+        windows = list(self.iter_windows(program, nest, window_size))
+        return NestSchedule(nest.name, window_size, windows)
+
+    def iter_windows(
+        self,
+        program: Program,
+        nest: LoopNest,
+        window_size: int,
+        limit: Optional[int] = None,
+    ) -> Iterator[WindowSchedule]:
+        """Schedule the nest's leading ``limit`` instances (None = all) one
+        ``window_size``-window at a time, yielding each as it is built."""
         if window_size < 1:
             raise SchedulingError(f"window size must be >= 1, got {window_size}")
-        windows: List[WindowSchedule] = []
+        stream = program.nest_instances(nest, program.seq_base_of(nest))
         buffer: List[StatementInstance] = []
-        for instance in program.nest_instances(nest, program.seq_base_of(nest)):
+        for instance in itertools.islice(stream, limit):
             buffer.append(instance)
             if len(buffer) == window_size:
-                windows.append(self.schedule_window(buffer))
+                yield self.schedule_window(buffer)
                 buffer = []
         if buffer:
-            windows.append(self.schedule_window(buffer))
-        return NestSchedule(nest.name, window_size, windows)
+            yield self.schedule_window(buffer)
 
 
 @dataclass

@@ -6,7 +6,7 @@ graph on host threads: each unit becomes a task in a
 :class:`~repro.exec.taskspace.TaskSpace`, its ``sub_results`` producers
 become task dependencies (the cross-node subset is exactly what the
 generated listing renders as ``sync(...)`` waits), and the simulator's
-memory-order arcs (flow/anti/output, :meth:`Simulator._memory_arcs`) are
+memory-order arcs (flow/anti/output, :class:`repro.sim.engine.MemoryOrder`) are
 added so runtime execution respects the same ordering the simulator
 enforces.
 
@@ -36,7 +36,7 @@ from repro.exec.backend import Backend, ExecutionResult
 from repro.exec.taskspace import TaskRuntime, TaskSpace, spawn
 from repro.ir.statement import Access
 from repro.noc.traffic import TrafficMatrix
-from repro.sim.engine import SimConfig, Simulator
+from repro.sim.engine import MemoryOrder, SimConfig
 
 #: Documented relative tolerance for the movement-agreement check:
 #: ``|runtime_observed - sim_forecast| <= tolerance * sim_forecast``.
@@ -206,7 +206,7 @@ class RuntimeBackend(Backend):
         # reports.  Arcs to uids outside this unit set (possible on
         # partial schedules) are dropped.
         order_deps: Dict[int, List[int]] = {}
-        for producer, consumer, _is_flow in Simulator._memory_arcs(units):
+        for producer, consumer, _is_flow in MemoryOrder().add(units):
             if producer in node_of and consumer in node_of:
                 order_deps.setdefault(consumer, []).append(producer)
 

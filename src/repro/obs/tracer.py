@@ -258,8 +258,14 @@ def read_events(path: str) -> List[Dict[str, Any]]:
     return events
 
 
+#: Payload fields that carry host wall-clock seconds (the gate's per
+#: candidate sub-phase costs); :func:`strip_wall_times` drops them too.
+WALL_TIME_FIELDS = frozenset({"search_s", "schedule_s", "simulate_s"})
+
+
 def strip_wall_times(events: Iterator[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Drop the nondeterministic ``t``/``dur`` fields from each event.
+    """Drop the nondeterministic ``t``/``dur`` fields from each event,
+    and the :data:`WALL_TIME_FIELDS` from its payload.
 
     What remains is the deterministic event stream: two runs with the same
     seed must agree on it exactly.
@@ -267,5 +273,10 @@ def strip_wall_times(events: Iterator[Dict[str, Any]]) -> List[Dict[str, Any]]:
     stripped = []
     for event in events:
         clean = {k: v for k, v in event.items() if k not in ("t", "dur")}
+        data = clean.get("data")
+        if data and not WALL_TIME_FIELDS.isdisjoint(data):
+            clean["data"] = {
+                k: v for k, v in data.items() if k not in WALL_TIME_FIELDS
+            }
         stripped.append(clean)
     return stripped

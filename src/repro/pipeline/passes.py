@@ -36,8 +36,9 @@ when the order was rearranged incompatibly.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro import check
 from repro.check import invariants
@@ -48,7 +49,7 @@ from repro.core.partitioner import (
     train_predictor,
 )
 from repro.core.profiling import build_split_plan, profile_statements
-from repro.core.window import WindowScheduler, WindowSizeSearch
+from repro.core.window import NestSchedule, WindowScheduler, WindowSizeSearch
 from repro.errors import ConfigurationError, SchedulingError
 from repro.ir.dependence import may_depend
 from repro.ir.inspector import InspectorExecutor
@@ -389,7 +390,10 @@ class SchedulePass(Pass):
         movement_by_size: Dict[str, Dict[int, int]] = {}
         variant_by_nest: Dict[str, str] = {}
         chosen_plan: Dict = {}
-        uid_counter = itertools.count()
+        # The first uid of the next nest's kept schedule.  Gate candidates
+        # each draw from their own counter starting here, so a measure cut
+        # short never shifts the uids the kept schedule gets.
+        next_uid = 0
         for nest in program.nests:
             if nest.name in nest_schedules:
                 raise SchedulingError(f"duplicate nest name {nest.name!r}")
@@ -422,20 +426,21 @@ class SchedulePass(Pass):
             else:
                 plan, variant, reuse = self._choose_nest_plan(
                     session, program, nest, locator, fallback_nodes,
-                    split_plan, profiles, split_cache, uid_counter, predictor,
+                    split_plan, profiles, split_cache, next_uid, predictor,
                     templates,
                 )
             chosen_plan.update(plan)
             variant_by_nest[nest.name] = variant
+            uid_counter = itertools.count(next_uid)
             if reuse is not None:
-                # The winning gate measure already scheduled the whole nest
-                # with the shared uid counter under conditions that make it
+                # The winning gate measure already scheduled the whole nest,
+                # from this nest's first uid, under conditions that make it
                 # bit-equal to the search below (see _choose_nest_plan);
                 # redoing the search/schedule would only repeat the work.
-                schedule, size, by_size = reuse
-                nest_schedules[nest.name] = schedule
-                window_sizes[nest.name] = size
-                movement_by_size[nest.name] = by_size
+                nest_schedules[nest.name] = reuse.schedule
+                window_sizes[nest.name] = reuse.size
+                movement_by_size[nest.name] = reuse.movement_by_size
+                uid_counter = reuse.uid_counter
             elif config.adaptive_window and any(plan.values()):
                 outcome = WindowSizeSearch(
                     machine,
@@ -470,6 +475,7 @@ class SchedulePass(Pass):
                 nest_schedules[nest.name] = schedule
                 window_sizes[nest.name] = size
                 movement_by_size[nest.name] = {size: schedule.movement}
+            next_uid = next(uid_counter)
             final = nest_schedules[nest.name]
             nest_span.add(
                 variant=variant,
@@ -510,7 +516,7 @@ class SchedulePass(Pass):
         profile_plan: Dict,
         profiles: Dict,
         split_cache: Dict,
-        uid_counter,
+        first_uid: int,
         predictor,
         templates=None,
     ):
@@ -524,7 +530,13 @@ class SchedulePass(Pass):
         configured tolerance (movement is the paper's first-class metric);
         among accepted plans the fastest wins.  The all-star plan is always
         a candidate, so a partitioned build never regresses a nest below
-        the baseline.
+        the baseline.  A splitting candidate is scheduled and simulated
+        window by window and dropped at the first window after which it
+        provably fails that test (DESIGN.md section 7.1).
+
+        Returns ``(plan, variant, reuse)``; ``reuse`` is the winning
+        :class:`_GateMeasure` when its whole-nest schedule may stand in for
+        the final scheduling pass, else ``None``.
         """
         config = session.config
         keys = [(nest.name, b) for b in range(nest.body_size)]
@@ -553,51 +565,41 @@ class SchedulePass(Pass):
             )
             return from_profile, variant, None
 
-        star_cycles, star_movement, star_reuse = self._gate_measure(
+        star_measure = self._gate_measure(
             session, program, nest, locator, fallback_nodes, star,
-            split_cache, uid_counter, templates,
+            split_cache, first_uid, templates,
         )
-        tracer.point(
-            "gate.candidate",
-            nest=nest.name,
-            variant="star",
-            cycles=star_cycles,
-            movement=star_movement,
-        )
+        _trace_candidate(tracer, nest.name, "star", star_measure)
         best_plan = star
         best_variant = "star"
-        best_cycles = star_cycles
-        best_reuse = star_reuse
-        tolerance = config.gate_movement_tolerance
+        best = star_measure
+        movement_cap = config.gate_movement_tolerance * max(
+            star_measure.movement, 1
+        )
         for variant, plan in candidates:
-            cycles, movement, reuse = self._gate_measure(
+            measure = self._gate_measure(
                 session, program, nest, locator, fallback_nodes, plan,
-                split_cache, uid_counter, templates,
+                split_cache, first_uid, templates,
+                bound=(best.cycles, movement_cap),
             )
             accepted = (
-                cycles < best_cycles
-                and movement <= tolerance * max(star_movement, 1)
+                not measure.stopped
+                and measure.cycles < best.cycles
+                and measure.movement <= movement_cap
             )
-            tracer.point(
-                "gate.candidate",
-                nest=nest.name,
-                variant=variant,
-                cycles=cycles,
-                movement=movement,
-                accepted=accepted,
-            )
+            _trace_candidate(tracer, nest.name, variant, measure, accepted)
             if accepted:
-                best_cycles = cycles
                 best_plan = plan
                 best_variant = variant
-                best_reuse = reuse
+                best = measure
         # The winning measure's full-nest schedule can stand in for the
         # final scheduling pass only when that pass would redo bit-equal
         # work: the gate covered the whole nest, the final pass is the
         # adaptive one, the size search would see the same sample, and the
         # predictor is pure (a stateful oracle's answers depend on the
         # query stream, so skipped queries would change later answers).
-        if best_reuse is not None:
+        reuse = best if best.schedule is not None else None
+        if reuse is not None:
             count = nest.instance_count
             sample = config.gate_sample_instances
             limit = sample if sample > 0 else count
@@ -612,15 +614,15 @@ class SchedulePass(Pass):
                 and (not any(best_plan.values()) or gate_eff == final_eff)
             )
             if not reusable:
-                best_reuse = None
+                reuse = None
         tracer.point(
             "gate.verdict",
             nest=nest.name,
             variant=best_variant,
-            cycles=best_cycles,
-            schedule_reused=best_reuse is not None,
+            cycles=best.cycles,
+            schedule_reused=reuse is not None,
         )
-        return best_plan, best_variant, best_reuse
+        return best_plan, best_variant, reuse
 
     def _gate_measure(
         self,
@@ -631,19 +633,28 @@ class SchedulePass(Pass):
         fallback_nodes: Dict[int, int],
         plan: Dict,
         split_cache: Dict,
-        uid_counter,
+        first_uid: int,
         templates=None,
-    ):
-        """(cycles, movement, reuse) of one candidate plan over the sample.
+        bound: Optional[Tuple[float, float]] = None,
+    ) -> "_GateMeasure":
+        """Schedule and simulate one candidate plan over the gate sample.
 
-        ``reuse`` is ``(NestSchedule, size, movement_by_size)`` when the
-        measure scheduled the whole nest (gate sample covers it), else
-        ``None``; the caller decides whether the final pass may adopt it.
+        Windows are scheduled one at a time and fed straight to the
+        simulator.  With ``bound = (best cycles, movement cap)``, the
+        measure stops after the first window whose prefix already reaches
+        the best cycles or exceeds the cap: the full run could only be
+        slower and move more, so the gate would reject it anyway.  The
+        stop is off for a stateful predictor (skipped location queries
+        would change its later answers) and in check mode, where the
+        candidate is measured in full and the rejection is verified.
         """
         from repro.sim.engine import SimConfig, Simulator
 
         machine = session.machine
         config = session.config
+        timed = session.tracer.enabled
+        clock = time.perf_counter
+        uid_counter = itertools.count(first_uid)
         scheduler = WindowScheduler(
             machine,
             locator,
@@ -655,11 +666,11 @@ class SchedulePass(Pass):
             session=session,
             templates=templates,
         )
-        size = 1
-        by_size = None
+        measure = _GateMeasure(uid_counter=uid_counter)
         sample = config.gate_sample_instances
         limit = sample if sample > 0 else nest.instance_count
         if any(plan.values()):
+            started = clock() if timed else 0.0
             outcome = WindowSizeSearch(
                 machine,
                 locator,
@@ -670,42 +681,124 @@ class SchedulePass(Pass):
                 session=session,
                 templates=templates,
             ).search_sample(program, nest, min(limit, 768))
-            size = outcome.best_size
-            by_size = outcome.movement_by_size
-        if limit >= nest.instance_count:
-            # Whole-nest measure: identical to schedule_nest's windowing.
-            schedule = scheduler.schedule_nest(program, nest, size)
-            units = [
-                sub
-                for window in schedule.windows
-                for statement_schedule in window.schedules
-                for sub in statement_schedule.subcomputations
-            ]
-            if by_size is None:
-                by_size = {size: schedule.movement}
-            reuse = (schedule, size, by_size)
-        else:
+            if timed:
+                measure.search_s = clock() - started
+            measure.size = outcome.best_size
+            measure.movement_by_size = outcome.movement_by_size
+
+        windows = []
+
+        def feeds():
+            # One feed per window when a bound can stop the measure; the
+            # unbounded star measure is fed as one batch.
             units = []
-            buffer = []
-            seen = 0
-            for instance in program.nest_instances(nest, program.seq_base_of(nest)):
-                buffer.append(instance)
-                seen += 1
-                if len(buffer) == size:
-                    window = scheduler.schedule_window(buffer)
-                    for statement_schedule in window.schedules:
-                        units.extend(statement_schedule.subcomputations)
-                    buffer = []
-                if seen >= limit:
+            stream = scheduler.iter_windows(program, nest, measure.size, limit)
+            while True:
+                started = clock() if timed else 0.0
+                window = next(stream, None)
+                if timed:
+                    measure.schedule_s += clock() - started
+                if window is None:
                     break
-            if buffer:
-                window = scheduler.schedule_window(buffer)
+                windows.append(window)
                 for statement_schedule in window.schedules:
                     units.extend(statement_schedule.subcomputations)
-            reuse = None
+                if bound is not None:
+                    yield units
+                    units = []
+            if units:
+                yield units
+
+        # (cycles, movement) of the first prefix that fails the bound.
+        loss = []
+        early = not check.enabled() and getattr(
+            locator.predictor, "pure_predict", True
+        )
+        stop = None
+        if bound is not None:
+            best_cycles, movement_cap = bound
+
+            def stop(prefix) -> bool:
+                if not loss and (
+                    prefix.total_cycles >= best_cycles
+                    or prefix.data_movement > movement_cap
+                ):
+                    loss.append((prefix.total_cycles, prefix.data_movement))
+                    return early
+                return False
+
         machine.mcdram.reset()
-        metrics = Simulator(machine, SimConfig()).run(units)
-        return metrics.total_cycles, metrics.data_movement, reuse
+        started = clock() if timed else 0.0
+        metrics = Simulator(machine, SimConfig()).run(feeds=feeds(), stop=stop)
+        if timed:
+            measure.simulate_s = clock() - started - measure.schedule_s
+        measure.cycles = metrics.total_cycles
+        measure.movement = metrics.data_movement
+        measure.units = metrics.unit_count
+        if loss:
+            measure.stopped = early
+            if check.enabled():
+                invariants.check_gate_rejection(
+                    loss[0], (measure.cycles, measure.movement), bound
+                )
+        if not measure.stopped and limit >= nest.instance_count:
+            # Whole-nest measure: identical to schedule_nest's windowing.
+            measure.schedule = NestSchedule(nest.name, measure.size, windows)
+            if measure.movement_by_size is None:
+                measure.movement_by_size = {
+                    measure.size: measure.schedule.movement
+                }
+        return measure
+
+
+@dataclass
+class _GateMeasure:
+    """One candidate plan's gate measure.
+
+    ``cycles``/``movement`` are the simulated totals, or — when the bound
+    ``stopped`` the measure — the prefix's, which only bound the totals
+    from below.  ``schedule`` is the whole-nest schedule when the measure
+    covered the nest, drawn from ``uid_counter``.
+    """
+
+    uid_counter: Iterator[int]
+    size: int = 1
+    movement_by_size: Optional[Dict[int, int]] = None
+    cycles: float = 0.0
+    movement: int = 0
+    units: int = 0
+    stopped: bool = False
+    schedule: Optional[NestSchedule] = None
+    search_s: float = 0.0
+    schedule_s: float = 0.0
+    simulate_s: float = 0.0
+
+
+def _trace_candidate(tracer, nest_name: str, variant: str, measure, accepted=None):
+    """The ``gate.candidate`` point of one measure."""
+    if not tracer.enabled:
+        return
+    fields = {}
+    if measure.stopped:
+        fields.update(
+            stopped_early=True,
+            cycles_at_least=measure.cycles,
+            movement_at_least=measure.movement,
+        )
+    else:
+        fields.update(cycles=measure.cycles, movement=measure.movement)
+    if accepted is not None:
+        fields["accepted"] = accepted
+    tracer.point(
+        "gate.candidate",
+        nest=nest_name,
+        variant=variant,
+        units_measured=measure.units,
+        search_s=round(measure.search_s, 6),
+        schedule_s=round(measure.schedule_s, 6),
+        simulate_s=round(measure.simulate_s, 6),
+        **fields,
+    )
 
 
 @register_pass

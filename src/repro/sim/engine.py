@@ -6,8 +6,9 @@ units wait for (1) their node to be free, (2) results from child
 subcomputations (a cross-node result is a network message plus a
 point-to-point synchronization), and (3) memory dependences — flow, anti
 and output — against earlier units, discovered by a last-writer scan over
-the whole schedule, so correctness does not rely on the compiler having
-put every needed arc in its window-local sync graph.
+the whole schedule (:class:`MemoryOrder`, incremental when the schedule is
+streamed in), so correctness does not rely on the compiler having put
+every needed arc in its window-local sync graph.
 
 Memory accesses go through real caches: the compiler *predicted* hit/miss
 and L1 reuse when it scheduled; the simulator measures what actually
@@ -18,8 +19,9 @@ happens, which is how over-sized windows show their L1-pollution penalty
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import check
 from repro.arch.machine import Machine
@@ -65,6 +67,74 @@ class SimConfig:
     per_unit_overhead_cycles: float = 0.0  # flat service overhead (Fig 18 S4)
     forced_l1_hit_rate: Optional[float] = None  # enforce an L1 profile (S1)
     mc_override: Optional[Dict[int, int]] = None  # page -> MC node (Fig 23)
+
+
+_uid_of = operator.attrgetter("uid")
+
+
+class MemoryOrder:
+    """Memory-order arcs from an incremental last-writer scan.
+
+    Units are scanned in program order by statement instance (seq).
+    Within one instance, *all* reads happen before the write — statement
+    semantics — regardless of unit creation order (folding can give the
+    final store a lower uid than the units feeding it).  The last-writer
+    and reader state carries over between :meth:`add` calls, so a schedule
+    fed as consecutive batches of whole instances yields exactly the arcs
+    of one scan over the concatenation.
+    """
+
+    __slots__ = ("_last_writer", "_readers", "_last_seq")
+
+    def __init__(self) -> None:
+        self._last_writer: Dict[Tuple[str, int], int] = {}
+        self._readers: Dict[Tuple[str, int], List[int]] = {}
+        self._last_seq: Optional[int] = None
+
+    def add(self, units: Sequence[Subcomputation]) -> List[Tuple[int, int, bool]]:
+        """(producer uid, consumer uid, is_flow) arcs into ``units``.
+
+        Every seq in ``units`` must follow every seq of earlier batches.
+        """
+        by_seq: Dict[int, List[Subcomputation]] = {}
+        for unit in units:
+            by_seq.setdefault(unit.seq, []).append(unit)
+        arcs: List[Tuple[int, int, bool]] = []
+        if not by_seq:
+            return arcs
+        seqs = sorted(by_seq)
+        if self._last_seq is not None and seqs[0] <= self._last_seq:
+            raise SimulationError(
+                f"units of seq {seqs[0]} arrive after seq {self._last_seq}: "
+                "feeds must be whole statement instances in seq order"
+            )
+        self._last_seq = seqs[-1]
+        last_writer = self._last_writer
+        readers = self._readers
+        for seq in seqs:
+            group = by_seq[seq]
+            if len(group) > 1:
+                group.sort(key=_uid_of)
+            for unit in group:  # reads of the whole instance first
+                for gathered in unit.gathered:
+                    key = gathered.access.key()
+                    writer = last_writer.get(key)
+                    if writer is not None and writer != unit.uid:
+                        arcs.append((writer, unit.uid, True))
+                    readers.setdefault(key, []).append(unit.uid)
+            for unit in group:  # then the instance's writes
+                if unit.store is None:
+                    continue
+                key = unit.store.key()
+                for reader in readers.get(key, ()):  # anti
+                    if reader != unit.uid:
+                        arcs.append((reader, unit.uid, False))
+                writer = last_writer.get(key)
+                if writer is not None and writer != unit.uid:  # output
+                    arcs.append((writer, unit.uid, False))
+                last_writer[key] = unit.uid
+                readers[key] = []
+        return arcs
 
 
 class Simulator:
@@ -186,46 +256,6 @@ class Simulator:
         latency += self._message(home, node, seq, metrics)
         return latency
 
-    # -- dependence construction ---------------------------------------------
-
-    @staticmethod
-    def _memory_arcs(units: Sequence[Subcomputation]) -> List[Tuple[int, int, bool]]:
-        """(producer uid, consumer uid, is_flow) arcs from a last-writer scan.
-
-        Units are scanned in program order by statement instance (seq).
-        Within one instance, *all* reads happen before the write — statement
-        semantics — regardless of unit creation order (folding can give the
-        final store a lower uid than the units feeding it).
-        """
-        by_seq: Dict[int, List[Subcomputation]] = {}
-        for unit in units:
-            by_seq.setdefault(unit.seq, []).append(unit)
-        arcs: List[Tuple[int, int, bool]] = []
-        last_writer: Dict[Tuple[str, int], int] = {}
-        readers: Dict[Tuple[str, int], List[int]] = {}
-        for seq in sorted(by_seq):
-            group = sorted(by_seq[seq], key=lambda u: u.uid)
-            for unit in group:  # reads of the whole instance first
-                for gathered in unit.gathered:
-                    key = gathered.access.key()
-                    writer = last_writer.get(key)
-                    if writer is not None and writer != unit.uid:
-                        arcs.append((writer, unit.uid, True))
-                    readers.setdefault(key, []).append(unit.uid)
-            for unit in group:  # then the instance's writes
-                if unit.store is None:
-                    continue
-                key = unit.store.key()
-                for reader in readers.get(key, ()):  # anti
-                    if reader != unit.uid:
-                        arcs.append((reader, unit.uid, False))
-                writer = last_writer.get(key)
-                if writer is not None and writer != unit.uid:  # output
-                    arcs.append((writer, unit.uid, False))
-                last_writer[key] = unit.uid
-                readers[key] = []
-        return arcs
-
     # -- fault handling ------------------------------------------------------
 
     def _activate_faults(
@@ -279,49 +309,53 @@ class Simulator:
 
     # -- main loop --------------------------------------------------------------
 
-    def run(self, units: Sequence[Subcomputation]) -> SimMetrics:
+    def run(
+        self,
+        units: Sequence[Subcomputation] = (),
+        *,
+        feeds: Optional[Iterable[Sequence[Subcomputation]]] = None,
+        stop: Optional[Callable[[SimMetrics], bool]] = None,
+    ) -> SimMetrics:
         """Simulate ``units``; returns the filled :class:`SimMetrics`.
+
+        ``feeds`` instead streams the schedule in as consecutive batches of
+        whole statement instances in seq order (a window at a time).  Every
+        dependence arc runs from a unit whose seq is at most its consumer's
+        and the ready heap is keyed on ``(seq, uid)``, so units retire in
+        nondecreasing seq: each batch is simulated to completion before the
+        next is pulled, exactly as it runs inside one batch call over the
+        concatenation (DESIGN.md section 7.1).  A plain ``units`` call is
+        the same loop fed once.
+
+        After each batch, ``stop`` (when given) sees the metrics of the
+        prefix so far, with ``total_cycles`` set to the prefix's latest
+        finish — a lower bound on the full run's, as ``data_movement`` is.
+        When it returns True the run ends there and returns those prefix
+        metrics.
 
         With tracing enabled (:mod:`repro.obs`), the run is wrapped in a
         ``sim.run`` span with periodic ``sim.epoch`` counter snapshots;
         tracing reads counters only and never alters the simulation.
         """
         metrics = SimMetrics()
-        if not units:
-            return metrics
-        if check.enabled():
-            # Check mode: the schedule must be a well-formed dependence DAG
-            # before a single event is simulated.
-            invariants.check_units_wellformed(units)
+        if feeds is None:
+            if not units:
+                return metrics
+            feeds = (units,)
+        check_mode = check.enabled()
         tracer = get_tracer()
         trace_on = tracer.enabled
-        sim_span = tracer.span("sim.run", units=len(units)) if trace_on else None
-        by_uid: Dict[int, Subcomputation] = {u.uid: u for u in units}
-        if len(by_uid) != len(units):
-            raise SimulationError("duplicate subcomputation uids in schedule")
+        sim_span = tracer.span("sim.run") if trace_on else None
+        by_uid: Dict[int, Subcomputation] = {}
+        memory_order = MemoryOrder()
 
-        # Dependence arcs: dataflow (sub_results) + memory order.
-        preds: Dict[int, List[Tuple[int, bool]]] = {u.uid: [] for u in units}
-        succs: Dict[int, List[int]] = {u.uid: [] for u in units}
-        for unit in units:
-            for result in unit.sub_results:
-                if result.producer_uid not in by_uid:
-                    raise SimulationError(
-                        f"unit {unit.uid} consumes unknown producer "
-                        f"{result.producer_uid}"
-                    )
-                preds[unit.uid].append((result.producer_uid, False))
-                succs[result.producer_uid].append(unit.uid)
-        for producer, consumer, _is_flow in self._memory_arcs(units):
-            if producer in by_uid and consumer in by_uid:
-                preds[consumer].append((producer, True))
-                succs[producer].append(consumer)
-
-        indegree = {uid: len(pred) for uid, pred in preds.items()}
-        ready = [
-            (by_uid[uid].seq, uid) for uid, degree in indegree.items() if degree == 0
-        ]
-        heapq.heapify(ready)
+        # Dependence arcs: dataflow (sub_results) + memory order.  An arc
+        # whose producer already finished (an earlier batch) only feeds the
+        # consumer's input-ready time; it never blocks it.
+        preds: Dict[int, List[Tuple[int, bool]]] = {}
+        succs: Dict[int, List[int]] = {}
+        indegree: Dict[int, int] = {}
+        ready: List[Tuple[int, int]] = []
 
         # Each node is a K-context server (SMT): a unit occupies the
         # earliest-free context; waits for remote results overlap with other
@@ -331,6 +365,9 @@ class Simulator:
         node_ctx: Dict[int, List[float]] = {}
         finish: Dict[int, float] = {}
         processed = 0
+        fed = 0
+        weighted_ops = 0
+        latest = 0.0
         sync_cost = config.sync_cycles + config.extra_sync_cycles
         mlp = max(config.memory_level_parallelism, 1.0)
         cycles_per_op = config.cycles_per_op
@@ -339,6 +376,7 @@ class Simulator:
         access = self._access
         message = self._message
         heappush = heapq.heappush
+        heappop = heapq.heappop
         seqs: Set[int] = set()
 
         # -- fault state (only consulted when a non-empty plan is applied).
@@ -357,136 +395,192 @@ class Simulator:
             dead_nodes = set(plan.static_dead_nodes())
             dead_links = set(plan.static_dead_links())
 
-        while ready:
-            _, uid = heapq.heappop(ready)
-            unit = by_uid[uid]
-            node = unit.node
-            seq = unit.seq
-            seqs.add(seq)
-            if fault_mode:
-                if pending_faults and processed >= pending_faults[0][0]:
-                    self._activate_faults(
-                        pending_faults, processed, dead_links, dead_nodes,
-                        relocation, metrics,
+        for feed in feeds:
+            if not feed:
+                continue
+            if check_mode:
+                # Check mode: the schedule must be a well-formed dependence
+                # DAG before a single event of it is simulated.
+                invariants.check_units_wellformed(feed)
+            for unit in feed:
+                uid = unit.uid
+                if uid in by_uid:
+                    raise SimulationError("duplicate subcomputation uids in schedule")
+                by_uid[uid] = unit
+                preds[uid] = []
+                succs[uid] = []
+                indegree[uid] = 0
+                weighted_ops += unit.cost
+            for unit in feed:
+                uid = unit.uid
+                unit_preds = preds[uid]
+                for result in unit.sub_results:
+                    producer = result.producer_uid
+                    if producer not in by_uid:
+                        raise SimulationError(
+                            f"unit {uid} consumes unknown producer {producer}"
+                        )
+                    unit_preds.append((producer, False))
+                    if producer not in finish:
+                        succs[producer].append(uid)
+                        indegree[uid] += 1
+            for producer, consumer, _is_flow in memory_order.add(feed):
+                preds[consumer].append((producer, True))
+                if producer not in finish:
+                    succs[producer].append(consumer)
+                    indegree[consumer] += 1
+            for unit in feed:
+                if not indegree[unit.uid]:
+                    heappush(ready, (unit.seq, unit.uid))
+            fed += len(feed)
+
+            while ready:
+                _, uid = heappop(ready)
+                unit = by_uid[uid]
+                node = unit.node
+                seq = unit.seq
+                seqs.add(seq)
+                if fault_mode:
+                    if pending_faults and processed >= pending_faults[0][0]:
+                        self._activate_faults(
+                            pending_faults, processed, dead_links, dead_nodes,
+                            relocation, metrics,
+                        )
+                    if node in dead_nodes:
+                        # Graceful degradation: the unit's home tile died;
+                        # rerun it on the nearest surviving tile instead of
+                        # crashing.
+                        node = self._relocate(
+                            unit, dead_nodes, relocation, metrics
+                        )
+                    exec_node[uid] = node
+                servers = node_ctx.setdefault(node, [0.0] * contexts)
+
+                # When are this unit's inputs all present?
+                input_ready = 0.0
+                # Child results: network message + sync when cross-node.
+                for result in unit.sub_results:
+                    producer = by_uid[result.producer_uid]
+                    arrival = finish[producer.uid]
+                    producer_node = (
+                        exec_node[producer.uid] if fault_mode else producer.node
                     )
-                if node in dead_nodes:
-                    # Graceful degradation: the unit's home tile died; rerun
-                    # it on the nearest surviving tile instead of crashing.
-                    node = self._relocate(
-                        unit, dead_nodes, relocation, metrics
+                    if producer_node != node:
+                        arrival += message(producer_node, node, seq, metrics)
+                        arrival += sync_cost
+                        metrics.sync_count += 1
+                    if arrival > input_ready:
+                        input_ready = arrival
+
+                # Memory-order predecessors.  A cross-node *flow* dependence
+                # needs a point-to-point synchronization (the consumer spins
+                # on the producer's flag); anti/output order is enforced by
+                # the same wait but carries no data.
+                for producer_uid, is_memory in preds[uid]:
+                    if not is_memory:
+                        continue
+                    producer = by_uid[producer_uid]
+                    arrival = finish[producer_uid]
+                    producer_node = (
+                        exec_node[producer_uid] if fault_mode else producer.node
                     )
-                exec_node[uid] = node
-            servers = node_ctx.setdefault(node, [0.0] * contexts)
+                    if producer_node != node:
+                        arrival += sync_cost
+                        metrics.sync_count += 1
+                    if arrival > input_ready:
+                        input_ready = arrival
 
-            # When are this unit's inputs all present?
-            input_ready = 0.0
-            # Child results: network message + sync when cross-node.
-            for result in unit.sub_results:
-                producer = by_uid[result.producer_uid]
-                arrival = finish[producer.uid]
-                producer_node = (
-                    exec_node[producer.uid] if fault_mode else producer.node
+                # A blocked thread yields its context (SMT): occupy the
+                # context that minimizes the actual service start (ties:
+                # lowest index, then earliest-free server — the min-by-key
+                # order).
+                slot = 0
+                slot_free = servers[0]
+                best_start = slot_free if slot_free > input_ready else input_ready
+                for s in range(1, contexts):
+                    free = servers[s]
+                    candidate = free if free > input_ready else input_ready
+                    if candidate < best_start or (
+                        candidate == best_start and free < slot_free
+                    ):
+                        slot = s
+                        slot_free = free
+                        best_start = candidate
+                start = best_start
+                wait = input_ready - slot_free
+                if wait > 0.0:
+                    metrics.sync_wait_cycles += wait
+
+                # Gather raw data through the memory hierarchy.  Independent
+                # loads overlap up to the configured memory-level
+                # parallelism.
+                latencies: List[float] = [
+                    access(node, g.access.array, g.access.index, seq, metrics)
+                    for g in unit.gathered
+                ]
+                # The store writes through the hierarchy at the executing
+                # node.
+                store = unit.store
+                if store is not None:
+                    latencies.append(
+                        access(node, store.array, store.index, seq, metrics)
+                    )
+                if latencies:
+                    slowest = max(latencies)
+                    rest = sum(latencies) - slowest
+                    access_time = slowest + rest / mlp
+                else:
+                    access_time = 0.0
+
+                compute_time = unit.cost * cycles_per_op * compute_scale
+                end = start + access_time + compute_time + per_unit_overhead
+                finish[uid] = end
+                servers[slot] = end
+                metrics.op_count += unit.op_count
+                metrics.compute_cycles += compute_time
+                processed += 1
+                if trace_on and not processed % TRACE_EPOCH_UNITS:
+                    tracer.point(
+                        "sim.epoch",
+                        units=processed,
+                        movement=metrics.data_movement,
+                        l1_hits=metrics.l1_hits,
+                        l1_misses=metrics.l1_misses,
+                        l2_hits=metrics.l2_hits,
+                        l2_misses=metrics.l2_misses,
+                        syncs=metrics.sync_count,
+                    )
+
+                for successor in succs[uid]:
+                    indegree[successor] -= 1
+                    if indegree[successor] == 0:
+                        heappush(ready, (by_uid[successor].seq, successor))
+
+            if processed != fed:
+                raise SimulationError(
+                    f"schedule has a dependence cycle: ran {processed} of {fed} units"
                 )
-                if producer_node != node:
-                    arrival += message(producer_node, node, seq, metrics)
-                    arrival += sync_cost
-                    metrics.sync_count += 1
-                if arrival > input_ready:
-                    input_ready = arrival
+            if stop is not None:
+                for unit in feed:
+                    end = finish[unit.uid]
+                    if end > latest:
+                        latest = end
+                metrics.total_cycles = latest
+                if stop(metrics):
+                    break
 
-            # Memory-order predecessors.  A cross-node *flow* dependence
-            # needs a point-to-point synchronization (the consumer spins on
-            # the producer's flag); anti/output order is enforced by the
-            # same wait but carries no data.
-            for producer_uid, is_memory in preds[uid]:
-                if not is_memory:
-                    continue
-                producer = by_uid[producer_uid]
-                arrival = finish[producer_uid]
-                producer_node = (
-                    exec_node[producer_uid] if fault_mode else producer.node
-                )
-                if producer_node != node:
-                    arrival += sync_cost
-                    metrics.sync_count += 1
-                if arrival > input_ready:
-                    input_ready = arrival
-
-            # A blocked thread yields its context (SMT): occupy the context
-            # that minimizes the actual service start (ties: lowest index,
-            # then earliest-free server — the min-by-key order).
-            slot = 0
-            slot_free = servers[0]
-            best_start = slot_free if slot_free > input_ready else input_ready
-            for s in range(1, contexts):
-                free = servers[s]
-                candidate = free if free > input_ready else input_ready
-                if candidate < best_start or (
-                    candidate == best_start and free < slot_free
-                ):
-                    slot = s
-                    slot_free = free
-                    best_start = candidate
-            start = best_start
-            wait = input_ready - slot_free
-            if wait > 0.0:
-                metrics.sync_wait_cycles += wait
-
-            # Gather raw data through the memory hierarchy.  Independent
-            # loads overlap up to the configured memory-level parallelism.
-            latencies: List[float] = [
-                access(node, g.access.array, g.access.index, seq, metrics)
-                for g in unit.gathered
-            ]
-            # The store writes through the hierarchy at the executing node.
-            store = unit.store
-            if store is not None:
-                latencies.append(access(node, store.array, store.index, seq, metrics))
-            if latencies:
-                slowest = max(latencies)
-                rest = sum(latencies) - slowest
-                access_time = slowest + rest / mlp
-            else:
-                access_time = 0.0
-
-            compute_time = unit.cost * cycles_per_op * compute_scale
-            end = start + access_time + compute_time + per_unit_overhead
-            finish[uid] = end
-            servers[slot] = end
-            metrics.op_count += unit.op_count
-            metrics.compute_cycles += compute_time
-            processed += 1
-            if trace_on and not processed % TRACE_EPOCH_UNITS:
-                tracer.point(
-                    "sim.epoch",
-                    units=processed,
-                    movement=metrics.data_movement,
-                    l1_hits=metrics.l1_hits,
-                    l1_misses=metrics.l1_misses,
-                    l2_hits=metrics.l2_hits,
-                    l2_misses=metrics.l2_misses,
-                    syncs=metrics.sync_count,
-                )
-
-            for successor in succs[uid]:
-                indegree[successor] -= 1
-                if indegree[successor] == 0:
-                    heappush(ready, (by_uid[successor].seq, successor))
-
-        if processed != len(units):
-            raise SimulationError(
-                f"schedule has a dependence cycle: ran {processed} of {len(units)} units"
-            )
-
+        if not fed:
+            if sim_span is not None:
+                sim_span.end()
+            return metrics
         metrics.total_cycles = max(finish.values(), default=0.0)
-        metrics.unit_count = len(units)
+        metrics.unit_count = fed
         metrics.statement_count = len(seqs)
         metrics.network_messages = self.network.message_count()
         metrics.network_avg_latency = self.network.average_latency()
         metrics.network_max_latency = self.network.max_latency()
         metrics.max_link_load = self.network.traffic.max_link_load()
 
-        weighted_ops = sum(u.cost for u in units)
         breakdown = self.energy_model.compute(
             flit_hops=self.network.traffic.total_flit_hops,
             l1_accesses=metrics.l1_hits + metrics.l1_misses,
@@ -499,12 +593,13 @@ class Simulator:
         metrics.energy_breakdown = breakdown
         metrics.energy_pj = breakdown["total"]
         metrics.link_flits = dict(self.network.traffic._flits)
-        if check.enabled():
+        if check_mode:
             # Conservation: per-link and per-statement decompositions must
             # re-sum exactly to the headline DataMovement metric.
             invariants.check_heatmap_conservation(metrics)
         if sim_span is not None:
             sim_span.add(
+                units=fed,
                 cycles=metrics.total_cycles,
                 movement=metrics.data_movement,
                 l1_hit_rate=round(metrics.l1_hit_rate(), 6),

@@ -15,6 +15,7 @@ from repro import check
 from repro.arch.knl import small_machine
 from repro.check.invariants import (
     check_balancer_choice,
+    check_gate_rejection,
     check_heatmap_conservation,
     check_partition_accounting,
     check_unit_nodes_alive,
@@ -263,3 +264,21 @@ class TestPartitionAccounting:
         )
         with pytest.raises(CheckError, match="per-window sum"):
             check_partition_accounting(partition)
+
+
+class TestGateRejection:
+    BOUND = (100.0, 50.0)  # (best cycles so far, movement cap)
+
+    def test_losing_candidate_passes(self):
+        check_gate_rejection((100.0, 20), (130.0, 40), self.BOUND)
+        check_gate_rejection((60.0, 51), (90.0, 60), self.BOUND)
+
+    def test_fires_when_stopped_candidate_would_win(self):
+        # planted: a bound that fires on a prefix still under both limits
+        with pytest.raises(CheckError, match="stopped a winning candidate"):
+            check_gate_rejection((80.0, 20), (90.0, 40), self.BOUND)
+
+    def test_fires_when_prefix_exceeds_full_run(self):
+        # planted: a prefix cannot finish later than the whole run
+        with pytest.raises(CheckError, match="exceeds the full measure"):
+            check_gate_rejection((140.0, 20), (130.0, 40), self.BOUND)

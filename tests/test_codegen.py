@@ -8,6 +8,7 @@ metadata).  The two must agree: every ``sync(T<uid>)`` the listing
 renders is exactly a ``sync_deps`` entry of some task.
 """
 
+import dataclasses
 import re
 
 from repro.core.codegen import (
@@ -19,7 +20,8 @@ from repro.core.codegen import (
 )
 from repro.core.scheduler import StatementSchedule
 from repro.core.subcomputation import GatheredInput, SubResult, Subcomputation
-from repro.ir.statement import Access
+from repro.ir.parser import parse_statement
+from repro.ir.statement import Access, StatementInstance
 
 
 def gather(array, index, from_node=0, hops=0):
@@ -94,14 +96,26 @@ class TestListing:
         assert any(l.startswith("A[0] = ") for l in code.lines_by_node[2])
 
     def test_source_override_rendered_verbatim(self):
-        unsplit = Subcomputation(
-            uid=0, seq=0, node=4, op="+", op_count=2, cost=2.0,
-            gathered=(gather("B", 1),),
-            store=Access("A", 1),
-            source="A(i) = B(i) + C(i)",
+        # An unsplit statement renders as its instance's source text.
+        statement = parse_statement("A(i) = B(i) + C(i)")
+        instance = StatementInstance(
+            statement=statement,
+            binding=(("i", 1),),
+            seq=0,
+            reads=(Access("B", 1), Access("C", 1)),
+            write=Access("A", 1),
         )
-        code = generate_code([schedule_of(unsplit)])
-        assert code.lines_by_node[4] == ["A(i) = B(i) + C(i)"]
+        unsplit = Subcomputation(
+            uid=0, seq=0, node=4, op="+", op_count=1, cost=1.0,
+            gathered=(gather("B", 1), gather("C", 1)),
+            store=Access("A", 1),
+        )
+        schedule = dataclasses.replace(
+            schedule_of(unsplit), instance=instance, unsplit=True
+        )
+        code = generate_code([schedule])
+        assert code.lines_by_node[4] == ["A(i) = B(i) + C(i)  @[i=1]"]
+        assert code.lines_by_node[4] == [str(instance)]
 
     def test_op_breakdown_renders_mixed_chain(self):
         sub = Subcomputation(

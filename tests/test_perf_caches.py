@@ -172,6 +172,104 @@ class TestGateScheduleReuse:
         assert fast_metrics.energy_pj == slow_metrics.energy_pj
 
 
+class TestGateEarlyRejection:
+    """A candidate the gate's bound stops mid-nest, followed by a winner.
+
+    The profile plan (split the first statement only) provably loses
+    halfway through the nest and is dropped; the all-split plan then wins.
+    Measuring every candidate in full (impure-flagged predictor, or check
+    mode) must give the same verdict and the same schedule up to absolute
+    uids: each candidate draws uids from its own counter, so an aborted
+    measure cannot shift the winner's.
+    """
+
+    PLAN = {("kernel", 0): True, ("kernel", 1): False}
+
+    @staticmethod
+    def _program():
+        from repro.workloads.base import nest, permutation_index
+
+        n = 64
+        p = Program("gate_bound")
+        for name, phase in (("A", 3), ("B", 7), ("C", 10)):
+            p.declare(name, 2 * n + 8, bank_phase=phase)
+        permutation_index(p, "IX", 4 * n + 4, 1, "gate-bound-ix")
+        p.add_nest(
+            nest(
+                "kernel",
+                [Loop("t", 0, 2), Loop("i", 0, n)],
+                [
+                    "A(2*i) = B(IX(4*i)) + B(IX(4*i+1))",
+                    "C(2*i) = B(IX(4*i+2)) + A(2*i)",
+                ],
+            )
+        )
+        return p
+
+    def _compile(self, monkeypatch, predictor, check_mode=False):
+        import io
+        import json
+
+        from repro import check
+        from repro.core.partitioner import NdpPartitioner, PartitionConfig
+        from repro.obs.tracer import tracing
+        from repro.sim.engine import run_schedule
+
+        monkeypatch.setattr(
+            "repro.pipeline.passes.build_split_plan",
+            lambda profiles, bias: dict(self.PLAN),
+        )
+        machine = small_machine()
+        partitioner = NdpPartitioner(
+            machine, PartitionConfig(gate_movement_tolerance=3.0)
+        )
+        partitioner.predictor = predictor
+        sink = io.StringIO()
+        with tracing(sink), check.checking(check_mode):
+            result = partitioner.partition(self._program())
+        machine.mcdram.reset()
+        metrics = run_schedule(machine, result.units())
+        candidates = {
+            event["data"]["variant"]: event["data"]
+            for event in map(json.loads, sink.getvalue().splitlines())
+            if event["name"] == "gate.candidate"
+        }
+        return result, metrics, candidates
+
+    def test_aborted_candidate_then_winner(self, monkeypatch):
+        class _ImpureFlagged(HitMissPredictor):
+            pure_predict = False
+
+        fast, fast_metrics, bounded = self._compile(monkeypatch, HitMissPredictor())
+        profile = bounded["profile"]
+        assert profile["stopped_early"] is True
+        assert profile["accepted"] is False
+        assert "cycles" not in profile and "movement" not in profile
+        assert 0 < profile["units_measured"] < bounded["star"]["units_measured"]
+        assert profile["cycles_at_least"] >= bounded["star"]["cycles"]
+        assert bounded["split"]["accepted"] is True
+        assert fast.variant_by_nest == {"kernel": "split"}
+
+        for predictor, check_mode in (
+            (_ImpureFlagged(), False),
+            (HitMissPredictor(), True),
+        ):
+            full, full_metrics, measured = self._compile(
+                monkeypatch, predictor, check_mode
+            )
+            # Measured in full: the profile plan still loses, on its totals.
+            assert "stopped_early" not in measured["profile"]
+            assert measured["profile"]["accepted"] is False
+            assert measured["profile"]["cycles"] >= profile["cycles_at_least"]
+            assert measured["profile"]["movement"] >= profile["movement_at_least"]
+            assert full.variant_by_nest == fast.variant_by_nest
+            assert full.window_sizes == fast.window_sizes
+            assert full.movement_by_size == fast.movement_by_size
+            assert full.per_statement_movement() == fast.per_statement_movement()
+            assert _canonical_units(full.units()) == _canonical_units(fast.units())
+            assert full_metrics == fast_metrics
+
+
 class TestSplitCachePurity:
     def test_pure_predictor_keeps_shared_cache(self):
         machine = small_machine()
