@@ -26,13 +26,16 @@ cov:
 
 # Correctness oracles (DESIGN.md section 10): the differential/property
 # suite in tests/check/, then smoke pipelines (healthy + degraded) with
-# the runtime invariant hooks live via REPRO_CHECK=1.
+# the runtime invariant hooks live via REPRO_CHECK=1, then the
+# ideal-analysis compile of tiny with a 2-process window-size search (the
+# oracle's tables and the worker processes' tables under every check).
 check:
 	$(PYTHON) -m pytest tests/check -q
 	REPRO_CHECK=1 $(PYTHON) -m repro.cli report tiny --out report_check.json
 	$(PYTHON) -m repro.obs.schema report_check.json
 	REPRO_CHECK=1 $(PYTHON) -m repro.cli faults --seed 1 --out report_check_faults.json
 	$(PYTHON) -m repro.obs.schema report_check_faults.json
+	REPRO_CHECK=1 $(PYTHON) tools/check_ideal_analysis.py
 
 # Time compile (partition/window-search) + simulate per app -> BENCH_compile.json
 bench:

@@ -39,17 +39,14 @@ class HitMissPredictor:
     Counters start at 1 (weakly predict miss): a cold region has not been
     fetched yet, so predicting a miss — i.e. "the data is at the MC" — is the
     safe default, matching the paper's treatment of cold references.
+
+    Prediction depends only on the queried address, never on the query
+    stream: the counters are written only by ``train`` (the training pass),
+    before any consumer reads a verdict, so location answers can be batched
+    into tables.  Every predictor the pipeline accepts keeps this contract.
     """
 
     STRONG_MISS, WEAK_MISS, WEAK_HIT, STRONG_HIT = 0, 1, 2, 3
-
-    #: Prediction depends only on the queried address, never on the query
-    #: stream: location answers can be batched, cached, and replayed.  The
-    #: counters are only written by explicit ``train`` calls (the training
-    #: pass), which happen before any consumer caches an answer.  Stateful
-    #: oracles (e.g. the ideal-analysis predictor) set this False, which
-    #: disables every vectorized/caching fast path downstream.
-    pure_predict: bool = True
 
     def __init__(self, region_bits: int = 12):
         self.region_bits = region_bits

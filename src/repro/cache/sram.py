@@ -84,10 +84,6 @@ class SetAssocCache:
         cache_set[block] = None
         return False
 
-    def peek_then_access(self, block: int) -> bool:
-        """Alias of :meth:`access`; kept for call-site readability."""
-        return self.access(block)
-
     def fill(self, block: int) -> None:
         """Install ``block`` without counting an access (e.g. a push/forward)."""
         cache_set = self._set_of(block)

@@ -317,7 +317,8 @@ def check_predictor_agreement(
 
 
 def check_split_cache_hit(cached, recomputed) -> None:
-    """A split served from the cache is bit-equal to a fresh recompute."""
+    """A table-backed split (template, clone or map replay) is bit-equal
+    to a fresh :func:`~repro.core.splitter.split_statement` recompute."""
     require(
         cached.mst_edges == recomputed.mst_edges,
         f"split cache divergence at seq {cached.instance.seq}: cached MST "

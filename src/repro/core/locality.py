@@ -29,7 +29,7 @@ the paper workloads, are documented in DESIGN.md §12.
 
 :class:`AnalyticMissPredictor` is a drop-in for
 :class:`repro.cache.predictor.HitMissPredictor` everywhere the pipeline
-reads predictions (``predict``/``predict_many``/``pure_predict``); it is
+reads predictions (``predict``/``predict_many``); it is
 selected with ``--predictor analytic`` (the ``predict_analytic`` pass).
 The trace predictor stays the default and serves as the differential
 oracle (:func:`repro.check.invariants.check_predictor_agreement`).
@@ -277,14 +277,12 @@ class AnalyticMissPredictor:
     predictor, a region the model never saw predicts *miss* (cold data is
     located at its memory controller, the paper's safe default).
 
-    ``pure_predict`` is True: verdicts depend only on the queried address,
-    so every vectorized/caching fast path downstream stays enabled.
+    Verdicts depend only on the queried address, like every predictor the
+    pipeline accepts.
     ``train`` is accepted and ignored — the model is not trace-driven;
     ``stats`` only accumulate when a caller verifies predictions through
     :meth:`predict_and_train` (the differential oracle does).
     """
-
-    pure_predict: bool = True
 
     def __init__(
         self,

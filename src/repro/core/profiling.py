@@ -29,7 +29,8 @@ from typing import Dict, Optional, Tuple
 from repro.arch.machine import Machine
 from repro.cache.hierarchy import CacheSystem
 from repro.core.locator import DataLocator
-from repro.core.splitter import split_statement
+from repro.core.vectorized import templates_for
+from repro.core.window import WindowConfig, session_or_default
 from repro.ir.program import Program
 
 StatementKey = Tuple[str, int]
@@ -69,11 +70,11 @@ def profile_statements(
 
     The cache simulation mirrors the execution engine's access flow but
     only tracks movement, so it is cheap enough to run over a large sample.
-    When a ``session`` is given, the MST side uses the vectorized split
-    templates (:mod:`repro.core.vectorized`); the movement side stays on
-    the reference simulation either way.
+    The MST side uses the nest's split templates
+    (:mod:`repro.core.vectorized`), from ``session``'s caches when given.
     """
     program.declare_on(machine)
+    session = session_or_default(session, machine, WindowConfig())
     fallback_nodes = fallback_nodes or {}
     caches = CacheSystem(
         machine.node_count, machine.l1_config, machine.l2_config, machine.bank_to_node
@@ -84,22 +85,12 @@ def profile_statements(
     counts: Dict[StatementKey, int] = {}
 
     for nest in program.nests:
-        templates = None
-        if session is not None:
-            from repro.core.vectorized import templates_for
-
-            templates = templates_for(
-                session, program, nest, locator, flatten_products=False
-            )
-            if templates is not None:
-                # Replay the sample's page translations up front (canonical
-                # order — identical frames to the lazy scalar touches).
-                templates.tables.ensure(min(sample_per_nest, nest.instance_count))
-        splitter = (
-            templates.split
-            if templates is not None
-            else (lambda instance: split_statement(instance, locator))
+        templates = templates_for(
+            session, program, nest, locator, flatten_products=False
         )
+        # Replay the sample's page translations up front, in canonical
+        # first-touch order.
+        templates.tables.ensure(min(sample_per_nest, nest.instance_count))
         sampled = 0
         for instance in program.nest_instances(nest, program.seq_base_of(nest)):
             if sampled >= sample_per_nest:
@@ -126,7 +117,7 @@ def profile_statements(
             key = instance.static_key
             star_sum[key] = star_sum.get(key, 0.0) + movement
             counts[key] = counts.get(key, 0) + 1
-            split = splitter(instance)
+            split = templates.split(instance)
             mst_sum[key] = mst_sum.get(key, 0.0) + split.mst_weight
 
     serial = _serial_chain_statements(program)

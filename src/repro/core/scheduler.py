@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.balancer import LoadBalancer, op_cost
-from repro.core.locator import DataLocator, VariableToNodeMap
+from repro.core.locator import VariableToNodeMap
 from repro.core.splitter import LeafInfo, StatementSplit
 from repro.core.subcomputation import GatheredInput, SubResult, Subcomputation
 from repro.errors import SchedulingError
@@ -183,10 +183,9 @@ class StatementSchedule:
 
 def star_cost(
     instance: StatementInstance,
-    locator: DataLocator,
+    tables,
     var2node: Optional[VariableToNodeMap] = None,
     exec_node: Optional[int] = None,
-    tables=None,
 ) -> int:
     """Predicted movement of the unsplit schedule (default execution).
 
@@ -195,52 +194,37 @@ def star_cost(
     distinct block, zero for blocks modeled L1-resident there.  The window
     scheduler splits a statement only when the MST beats this — splitting
     that *increases* movement would defeat the metric the paper optimizes.
+    ``tables`` are the instance's nest's
+    :class:`~repro.core.vectorized.NestTables`.
     """
-    distance = locator.machine.mesh.distance_fn()
-    if tables is not None:
-        # Table-backed path: same answers as locate(), batched up front.
-        it, s = divmod(instance.seq - tables.seq_base, tables.body_size)
-        store = tables.store_node[s][it]
-        node = exec_node if exec_node is not None else store
-        read_blocks = tables.read_block[s]
-        read_primary = tables.read_primary[s]
-        cost = 0
-        seen_blocks = set()
-        for position in range(len(instance.reads)):
-            block = read_blocks[position][it]
-            if block in seen_blocks:
-                continue
-            seen_blocks.add(block)
-            if var2node is not None and node in var2node.nodes_with(block):
-                continue
-            cost += distance(read_primary[position][it], node)
-        return cost + distance(node, store)
-    node = exec_node if exec_node is not None else locator.store_node(instance.write)
+    distance = tables.machine.mesh.distance_fn()
+    it, s = divmod(instance.seq - tables.seq_base, tables.body_size)
+    store = tables.store_node[s][it]
+    node = exec_node if exec_node is not None else store
+    read_blocks = tables.read_block[s]
+    read_primary = tables.read_primary[s]
     cost = 0
     seen_blocks = set()
-    for access in instance.reads:
-        block = locator.block_of(access)
+    for position in range(len(instance.reads)):
+        block = read_blocks[position][it]
         if block in seen_blocks:
             continue
         seen_blocks.add(block)
-        location = locator.locate(access, var2node)
-        if node in location.l1_copies:
+        if var2node is not None and node in var2node.nodes_with(block):
             continue
-        cost += distance(location.primary, node)
+        cost += distance(read_primary[position][it], node)
     # The result must reach its home bank from the execution node.
-    cost += distance(node, locator.store_node(instance.write))
-    return cost
+    return cost + distance(node, store)
 
 
 def schedule_star(
     instance: StatementInstance,
-    locator: DataLocator,
+    tables,
     balancer: LoadBalancer,
     uid_counter: Iterator[int],
     var2node: Optional[VariableToNodeMap] = None,
     exec_node: Optional[int] = None,
     hit_model: Optional[VariableToNodeMap] = None,
-    tables=None,
 ) -> StatementSchedule:
     """Schedule the whole statement unsplit, as the default execution would.
 
@@ -248,62 +232,35 @@ def schedule_star(
     output's home node) gathers every input, computes, and stores.
     ``hit_model`` (the persistent default-execution L1 model) marks which
     gathers are expected L1 hits; fetched blocks are still recorded into the
-    window's ``var2node`` so later statements can reuse them.
+    window's ``var2node`` so later statements can reuse them.  Blocks,
+    primaries and verdicts come from the nest's ``tables``.
     """
-    distance = locator.machine.mesh.distance_fn()
+    distance = tables.machine.mesh.distance_fn()
+    it, s = divmod(instance.seq - tables.seq_base, tables.body_size)
+    node = exec_node if exec_node is not None else tables.store_node[s][it]
+    read_blocks = tables.read_block[s]
+    read_primary = tables.read_primary[s]
+    read_on_chip = tables.read_on_chip[s]
+    copies_map = hit_model if hit_model is not None else var2node
     gathered = []
-    if tables is not None:
-        # Table-backed path: blocks/primaries/verdicts from the per-nest
-        # tables instead of per-access locate() chains (same answers).
-        it, s = divmod(instance.seq - tables.seq_base, tables.body_size)
-        node = (
-            exec_node if exec_node is not None else tables.store_node[s][it]
-        )
-        read_blocks = tables.read_block[s]
-        read_primary = tables.read_primary[s]
-        read_on_chip = tables.read_on_chip[s]
-        copies_map = hit_model if hit_model is not None else var2node
-        for position, access in enumerate(instance.reads):
-            block = read_blocks[position][it]
-            if copies_map is not None and node in copies_map.nodes_with(block):
-                gathered.append(GatheredInput(access, node, 0, l1_hit=True))
-            else:
-                primary = read_primary[position][it]
-                gathered.append(
-                    GatheredInput(
-                        access,
-                        primary,
-                        distance(primary, node),
-                        off_chip=not read_on_chip[position][it],
-                    )
+    for position, access in enumerate(instance.reads):
+        block = read_blocks[position][it]
+        if copies_map is not None and node in copies_map.nodes_with(block):
+            gathered.append(GatheredInput(access, node, 0, l1_hit=True))
+        else:
+            primary = read_primary[position][it]
+            gathered.append(
+                GatheredInput(
+                    access,
+                    primary,
+                    distance(primary, node),
+                    off_chip=not read_on_chip[position][it],
                 )
-            if var2node is not None:
-                var2node.record(block, node)
-            if hit_model is not None:
-                hit_model.record(block, node)
-        write_block = tables.write_block[s][it]
-    else:
-        node = (
-            exec_node
-            if exec_node is not None
-            else locator.store_node(instance.write)
-        )
-        for access in instance.reads:
-            location = locator.locate(access, hit_model or var2node)
-            if node in location.l1_copies:
-                gathered.append(GatheredInput(access, node, 0, l1_hit=True))
-            else:
-                hops = distance(location.primary, node)
-                gathered.append(
-                    GatheredInput(
-                        access, location.primary, hops, off_chip=not location.on_chip
-                    )
-                )
-            if var2node is not None:
-                var2node.record(locator.block_of(access), node)
-            if hit_model is not None:
-                hit_model.record(locator.block_of(access), node)
-        write_block = None
+            )
+        if var2node is not None:
+            var2node.record(block, node)
+        if hit_model is not None:
+            hit_model.record(block, node)
     _, _, op_count, cost, breakdown = _op_info(instance.statement)
     sub = Subcomputation(
         uid=next(uid_counter),
@@ -318,13 +275,11 @@ def schedule_star(
         op_breakdown=breakdown,
     )
     balancer.record(node, cost)
-    if var2node is not None or hit_model is not None:
-        if write_block is None:
-            write_block = locator.block_of(instance.write)
-        if var2node is not None:
-            var2node.record(write_block, node)
-        if hit_model is not None:
-            hit_model.record(write_block, node)
+    write_block = tables.write_block[s][it]
+    if var2node is not None:
+        var2node.record(write_block, node)
+    if hit_model is not None:
+        hit_model.record(write_block, node)
     return StatementSchedule(
         instance=instance,
         subcomputations=(sub,),
@@ -337,39 +292,31 @@ def schedule_star(
 
 def schedule_statement(
     split: StatementSplit,
-    locator: DataLocator,
+    tables,
     balancer: LoadBalancer,
     uid_counter: Iterator[int],
     var2node: Optional[VariableToNodeMap] = None,
     hit_model: Optional[VariableToNodeMap] = None,
-    tables=None,
 ) -> StatementSchedule:
     """Turn a :class:`StatementSplit` into scheduled subcomputations.
 
+    ``tables`` are the split instance's nest's
+    :class:`~repro.core.vectorized.NestTables` (operand blocks).
     ``var2node`` is the window-scoped reuse map (Algorithm 1's
     ``variable2node_map``); ``hit_model`` is the persistent model of the
     real caches' contents used to mark expected L1 hits and predict
     movement (real L1s do not forget at window boundaries).
     """
-    machine = locator.machine
-    distance = machine.mesh.distance_fn()
+    distance = tables.machine.mesh.distance_fn()
     instance = split.instance
     store_node = split.store_node
+    it, s = divmod(instance.seq - tables.seq_base, tables.body_size)
+    read_blocks = tables.read_block[s]
 
-    if tables is not None:
-        it, s = divmod(instance.seq - tables.seq_base, tables.body_size)
-        read_blocks = tables.read_block[s]
+    def block_of_leaf(leaf: LeafInfo) -> int:
+        return read_blocks[leaf.position][it]
 
-        def block_of_leaf(leaf: LeafInfo) -> int:
-            return read_blocks[leaf.position][it]
-
-        write_block = tables.write_block[s][it]
-    else:
-
-        def block_of_leaf(leaf: LeafInfo) -> int:
-            return locator.block_of(leaf.access)
-
-        write_block = None
+    write_block = tables.write_block[s][it]
 
     # Member/set ids are allocated from one counter starting at the store
     # member, and the root member is handed out last — so every id this
@@ -593,13 +540,10 @@ def schedule_statement(
 
     # The result now lives in the store node's L1; later statements in the
     # window can reuse it from there (flow-dependence reuse).
-    if var2node is not None or hit_model is not None:
-        if write_block is None:
-            write_block = locator.block_of(instance.write)
-        if var2node is not None:
-            var2node.record(write_block, store_node)
-        if hit_model is not None:
-            hit_model.record(write_block, store_node)
+    if var2node is not None:
+        var2node.record(write_block, store_node)
+    if hit_model is not None:
+        hit_model.record(write_block, store_node)
 
     subs = []
     for builder in builders:

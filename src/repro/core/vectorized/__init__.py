@@ -1,7 +1,6 @@
-"""``repro.core.vectorized`` — flat-array fast paths for the partitioner.
+"""``repro.core.vectorized`` — the partitioner's table-backed location layer.
 
-Two layers, both bit-identical to the scalar pipeline by construction and
-by check-mode oracle:
+Two layers, checked against the scalar splitter by check-mode oracles:
 
 * :class:`~repro.core.vectorized.tables.NestTables` — per-nest batched
   VA->PA->block/primary/on-chip tables, replaying page translations in
@@ -9,10 +8,12 @@ by check-mode oracle:
 * :class:`~repro.core.vectorized.split_kernel.SplitTemplates` —
   signature-deduplicated statement splits built on those tables.
 
-The session-level helpers below gate the fast path: it is only used with
-pure predictors (``pure_predict=True``) and falls back to the scalar code
-for nests whose accesses cannot be resolved up front (e.g. irregular
-nests before the inspector ran).  Both caches live in
+They are the only scheduling path.  That rests on one invariant, which
+every predictor the pipeline accepts keeps: a verdict depends on the
+queried address alone, never on how often or in what order the compiler
+asked (``train`` is the only writer, and training finishes before
+scheduling starts).  A verdict can therefore be batched into a table once
+and read back any number of times.  Both caches live in
 :class:`~repro.pipeline.session.SessionCaches` and are cleared per
 compile.
 """
@@ -21,39 +22,28 @@ from __future__ import annotations
 
 from repro.core.vectorized.split_kernel import SplitTemplates
 from repro.core.vectorized.tables import NestTables
-from repro.errors import WorkloadError
 
-__all__ = ["NestTables", "SplitTemplates", "nest_tables_for", "templates_for"]
+__all__ = ["NestTables", "SplitTemplates", "templates_for"]
 
 
-def nest_tables_for(session, program, nest, predictor):
-    """The session's :class:`NestTables` for ``nest`` (None = unsupported).
+def templates_for(
+    session, program, nest, locator, flatten_products: bool
+) -> SplitTemplates:
+    """The session's :class:`SplitTemplates` for ``nest``, built on first use.
 
-    Returns None — and remembers the verdict — when the predictor is
-    stateful or the nest's accesses cannot be resolved in closed form;
-    callers then stay on the scalar path.
+    The nest's :class:`NestTables` are shared by both ``flatten_products``
+    settings.  Raises :class:`~repro.errors.WorkloadError` when the nest's
+    accesses cannot be resolved (an irregular nest whose index data is
+    missing).
     """
-    if predictor is not None and not getattr(predictor, "pure_predict", True):
-        return None
     caches = session.caches
-    if nest.name in caches.nest_tables:
-        return caches.nest_tables[nest.name]
-    try:
-        tables = NestTables(program, nest, session.machine, predictor)
-    except WorkloadError:
-        tables = None
-    caches.nest_tables[nest.name] = tables
-    return tables
-
-
-def templates_for(session, program, nest, locator, flatten_products: bool):
-    """The session's :class:`SplitTemplates` for ``nest`` (None = scalar)."""
-    tables = nest_tables_for(session, program, nest, locator.predictor)
-    if tables is None:
-        return None
     key = (nest.name, bool(flatten_products))
-    templates = session.caches.split_templates.get(key)
+    templates = caches.split_templates.get(key)
     if templates is None:
+        tables = caches.nest_tables.get(nest.name)
+        if tables is None:
+            tables = NestTables(program, nest, session.machine, locator.predictor)
+            caches.nest_tables[nest.name] = tables
         templates = SplitTemplates(tables, locator, flatten_products)
-        session.caches.split_templates[key] = templates
+        caches.split_templates[key] = templates
     return templates

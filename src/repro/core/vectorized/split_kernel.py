@@ -64,31 +64,40 @@ class SplitTemplates:
         """(iteration row, body statement index) of ``instance``."""
         return divmod(instance.seq - self.tables.seq_base, self.tables.body_size)
 
+    def _learn(self, instance, s: int) -> StatementSplit:
+        """Split the statement's first instance in full; keep its skeleton.
+
+        The one real :func:`split_statement` per statement: its leaf
+        positions and operand-set skeleton are static across instances,
+        and it is the first template.
+        """
+        template = split_statement(
+            instance, self.locator, flatten_products=self.flatten
+        )
+        self._leaf_positions[s] = tuple(
+            leaf.position for leaf in template.leaves.values()
+        )
+        self._skeletons[s] = (
+            tuple(
+                (leaf.member_id, leaf.position, leaf.negated, leaf.inverted)
+                for leaf in template.leaves.values()
+            ),
+            template.sets,
+            template.store_member,
+            template.root_member,
+        )
+        signature = tuple(
+            leaf.location.primary for leaf in template.leaves.values()
+        ) + (template.store_node,)
+        self._templates[s][signature] = template
+        return template
+
     def split(self, instance) -> StatementSplit:
         """The empty-map split of ``instance`` (template or cheap clone)."""
         it, s = self._instance_coords(instance)
         positions = self._leaf_positions[s]
         if positions is None:
-            template = split_statement(
-                instance, self.locator, flatten_products=self.flatten
-            )
-            self._leaf_positions[s] = tuple(
-                leaf.position for leaf in template.leaves.values()
-            )
-            self._skeletons[s] = (
-                tuple(
-                    (leaf.member_id, leaf.position, leaf.negated, leaf.inverted)
-                    for leaf in template.leaves.values()
-                ),
-                template.sets,
-                template.store_member,
-                template.root_member,
-            )
-            signature = tuple(
-                leaf.location.primary for leaf in template.leaves.values()
-            ) + (template.store_node,)
-            self._templates[s][signature] = template
-            return template
+            return self._learn(instance, s)
         tables = self.tables
         primaries = tables.read_primary[s]
         signature = tuple(primaries[p][it] for p in positions) + (
@@ -127,16 +136,15 @@ class SplitTemplates:
     def blocks_held(self, instance, var2node) -> bool:
         """True when any leaf operand's block is modeled L1-resident.
 
-        The no-overlap test of the mid-window fast path: when False, every
-        ``locate`` would return empty ``l1_copies`` and the split equals
-        the empty-map split.  Conservatively True before the statement's
-        leaf positions are known.
+        When False, every ``locate`` would return empty ``l1_copies`` and
+        the split equals the empty-map split (:meth:`split`).
         """
         tables = self.tables
         it, s = divmod(instance.seq - tables.seq_base, tables.body_size)
         positions = self._leaf_positions[s]
         if positions is None:
-            return True
+            self._learn(instance, s)
+            positions = self._leaf_positions[s]
         blocks = tables.read_block[s]
         holds = var2node.holds_block
         for position in positions:
@@ -202,7 +210,7 @@ class SplitTemplates:
             root_member=root_member,
         )
 
-    def split_with_map(self, instance, var2node) -> Optional[StatementSplit]:
+    def split_with_map(self, instance, var2node) -> StatementSplit:
         """The split of ``instance`` against a non-empty window map.
 
         Same answers as ``split_statement(instance, locator, var2node)``,
@@ -210,15 +218,13 @@ class SplitTemplates:
         copies come from the map (by table block id) and the vertex choice
         replays ``_choose_leaf_vertex`` exactly — candidates are the L1
         copies plus the primary, ranked by total distance to the other
-        leaves' primaries and the store.  Returns None before the
-        statement's skeleton is known (first instance goes scalar).
+        leaves' primaries and the store.
         """
         tables = self.tables
         it, s = divmod(instance.seq - tables.seq_base, tables.body_size)
-        skeleton = self._skeletons[s]
-        if skeleton is None:
-            return None
-        leaf_specs, sets, store_member, root_member = skeleton
+        if self._skeletons[s] is None:
+            self._learn(instance, s)
+        leaf_specs, sets, store_member, root_member = self._skeletons[s]
         blocks = tables.read_block[s]
         on_chip = tables.read_on_chip[s]
         primaries = tables.read_primary[s]

@@ -1,4 +1,4 @@
-"""Per-nest vectorized location tables (the splitter/scheduler fast path).
+"""Per-nest vectorized location tables (the splitter/scheduler's only path).
 
 The scalar pipeline answers "where does this operand live?" one access at a
 time: ``pa_of`` -> predictor -> home/MC map, each a Python call chain.  For
@@ -26,9 +26,11 @@ Invariants (enforced by ``check_nest_tables`` in check mode):
    ``allocator.translate`` — the same order the scalar profiling and
    scheduling loops touch pages — so frame assignment is bit-identical to
    the scalar pipeline.
-2. **Purity.**  Tables are only built over predictors with
-   ``pure_predict=True`` (prediction depends on the address alone); a
-   stateful oracle disables the vectorized path entirely.
+2. **Purity.**  A predictor's verdict depends on the queried address
+   alone (``train`` is its only writer, and training ends before any
+   table is built), so a verdict batched here equals every later scalar
+   ``predict`` of the same address.  The trace, analytic and
+   ideal-analysis predictors all keep this contract.
 3. **Equality.**  Every table entry equals the scalar
    ``DataLocator``/``Machine`` answer for the same access (check mode
    samples and compares).

@@ -35,6 +35,7 @@ from repro.core.scheduler import (
     star_cost,
 )
 from repro.core.splitter import StatementSplit, split_statement
+from repro.core.vectorized import SplitTemplates, templates_for
 from repro.core.syncgraph import SyncGraph
 from repro.errors import SchedulingError
 from repro.ir.dependence import DependenceKind, instance_dependences
@@ -42,7 +43,6 @@ from repro.ir.loop import LoopNest
 from repro.ir.program import Program
 from repro.ir.statement import StatementInstance
 from repro.obs.tracer import get_tracer
-from repro.utils.rng import derive_rng
 
 #: The paper found no nest preferring more than 8 statements (footnote 4).
 MAX_WINDOW_SIZE = 8
@@ -63,8 +63,6 @@ class WindowConfig:
     l1_model_blocks: int = 64
     balance_threshold: float = 0.10
     flatten_products: bool = False
-    random_ties: bool = False
-    seed: int = 0
     #: The size search measures candidate window sizes on this many leading
     #: statement instances of the nest (0 = the whole nest).  Loop bodies
     #: repeat, so a prefix is representative, and the search stays cheap.
@@ -185,45 +183,27 @@ class WindowScheduler:
         uid_counter: Optional[Iterator[int]] = None,
         fallback_nodes: Optional[Dict[int, int]] = None,
         split_plan: Optional[Dict[Tuple[str, int], bool]] = None,
-        split_cache: Optional[Dict[int, StatementSplit]] = None,
         session=None,
-        templates=None,
     ):
-        """A scheduler sharing the caller's uid stream, caches, and session."""
+        """A scheduler sharing the caller's uid stream and session."""
         self.machine = machine
         self.locator = locator
         self.config = config
         # The session carries the pipeline shape: a skipped ``balance``
         # pass disables the 10% veto (placement takes the minimum-movement
         # candidate unconditionally), a skipped ``sync_minimize`` leaves
-        # window sync graphs unminimized; the per-window minimize time is
-        # charged to the ``sync_minimize`` pass when a session is present.
-        self._session = session
-        balance_enabled = session is None or session.pass_enabled("balance")
+        # window sync graphs unminimized and the per-window minimize time
+        # is charged to the ``sync_minimize`` pass.  Its caches hold each
+        # nest's location tables and split templates.
+        self._session = session = session_or_default(session, machine, config)
         self.balancer = balancer or LoadBalancer(
-            machine.node_count, config.balance_threshold, enabled=balance_enabled
+            machine.node_count,
+            config.balance_threshold,
+            enabled=session.pass_enabled("balance"),
         )
-        # seq -> StatementSplit computed against an *empty* variable2node
-        # map.  The window-size search schedules the same leading instances
-        # once per candidate size; every window-opening statement sees an
-        # empty map, so its split/MST is identical across trials and can be
-        # shared instead of recomputed (splits are immutable).  A stateful
-        # predictor (the ideal-analysis oracle) makes location answers
-        # depend on the query stream itself, so memoization is disabled —
-        # every pass must issue exactly the queries the uncached code would.
-        pure_predictor = getattr(locator.predictor, "pure_predict", True)
-        self._split_cache = split_cache if pure_predictor else None
-        # Vectorized fast path: per-nest location tables + signature-deduped
-        # split templates (repro.core.vectorized).  Only valid with a pure
-        # predictor; the scalar code remains the reference path.
-        self._templates = templates if pure_predictor else None
-        self._tables = self._templates.tables if self._templates is not None else None
         # Shared across nests (and window-size trials) so uids stay unique
         # within one compilation.
         self._uid_counter = uid_counter if uid_counter is not None else itertools.count()
-        self._rng = (
-            derive_rng(config.seed, "mst-ties") if config.random_ties else None
-        )
         # seq -> default-placement node: where an unsplit statement runs
         # (the paper optimizes on top of the default assignment).
         self.fallback_nodes = fallback_nodes or {}
@@ -241,13 +221,27 @@ class WindowScheduler:
             per_node_capacity=machine.l1_config.line_count
         )
 
+    def templates_of(self, program: Program, nest: LoopNest) -> SplitTemplates:
+        """The nest's split templates, its tables covering the whole nest.
+
+        Served from the session's caches, so every scheduler and search of
+        one compile shares one set per nest.
+        """
+        templates = templates_for(
+            self._session, program, nest, self.locator, self.config.flatten_products
+        )
+        templates.tables.ensure(nest.instance_count)
+        return templates
+
     def schedule_window(
         self,
         instances: Sequence[StatementInstance],
+        templates: SplitTemplates,
         sync_graph: bool = True,
     ) -> WindowSchedule:
-        """Schedule one window of consecutive statement instances.
+        """Schedule one window of consecutive instances of one nest.
 
+        ``templates`` are the nest's (:meth:`templates_of`).
         ``sync_graph=False`` skips building and minimizing the window's
         synchronization graph (the schedules and their movement are
         unaffected) — used by the window-size search, whose trials consume
@@ -258,20 +252,12 @@ class WindowScheduler:
             if self.config.reuse_aware
             else None
         )
+        tables = templates.tables
         schedules: List[StatementSchedule] = []
-        # With the nest's tables fully materialized, a split is a pure
-        # function of the instance (no page-translation or predictor side
-        # effects), so statements whose plan already says "don't split" can
-        # skip the MST work entirely.  The scalar path must still split
-        # first: its leaf locates are the canonical first touch of the
-        # instance's pages.
-        lazy_split = (
-            self._tables is not None
-            and self._rng is None
-            and self._tables.covered >= self._tables.instance_count
-        )
         for instance in instances:
-            split = None if lazy_split else self._split_of(instance, var2node)
+            # A split is a pure function of the instance and the window map,
+            # so statements whose plan says "don't split" skip the MST work.
+            split = None
             # Split only when the MST actually beats the unsplit default
             # execution (data movement is the first-class metric; a split
             # that moves *more* data is never taken).
@@ -281,41 +267,32 @@ class WindowScheduler:
             elif self.split_plan is not None and instance.static_key in self.split_plan:
                 decision = self.split_plan[instance.static_key]
             else:
-                if split is None:
-                    split = self._split_of(instance, var2node)
-                unsplit = star_cost(
-                    instance,
-                    self.locator,
-                    self._l1_model,
-                    fallback,
-                    tables=self._tables,
-                )
+                split = self._split_of(instance, var2node, templates)
+                unsplit = star_cost(instance, tables, self._l1_model, fallback)
                 decision = split.mst_weight + self.config.split_bias <= unsplit
             if decision:
                 if split is None:
-                    split = self._split_of(instance, var2node)
+                    split = self._split_of(instance, var2node, templates)
                 schedules.append(
                     schedule_statement(
                         split,
-                        self.locator,
+                        tables,
                         self.balancer,
                         self._uid_counter,
                         var2node,
                         hit_model=self._l1_model,
-                        tables=self._tables,
                     )
                 )
             else:
                 schedules.append(
                     schedule_star(
                         instance,
-                        self.locator,
+                        tables,
                         self.balancer,
                         self._uid_counter,
                         var2node,
                         fallback,
                         hit_model=self._l1_model,
-                        tables=self._tables,
                     )
                 )
         if not sync_graph:
@@ -325,9 +302,7 @@ class WindowScheduler:
             # sync arcs by construction (no child results, no second
             # instance to depend on) — skip building and minimizing the
             # graph, but keep the inline pass's timing key alive.
-            if self._session is not None and self._session.pass_enabled(
-                "sync_minimize"
-            ):
+            if self._session.pass_enabled("sync_minimize"):
                 self._session.add_pass_seconds("sync_minimize", 0.0)
             return WindowSchedule(schedules, SyncGraph(), 0, 0)
         graph = self._build_sync_graph(instances, schedules)
@@ -346,119 +321,34 @@ class WindowScheduler:
             )
         return WindowSchedule(schedules, graph, before, after)
 
-    #: Split caches stop growing past this many entries (memory bound for
-    #: very long nests; every nest in the workload suite fits, so the gate's
-    #: full-nest passes populate the cache end to end).
-    _SPLIT_CACHE_LIMIT = 1 << 17
-
     def _split_of(
         self,
         instance: StatementInstance,
         var2node: Optional[VariableToNodeMap],
+        templates: SplitTemplates,
     ) -> StatementSplit:
-        """Split ``instance``, sharing empty-map splits across size trials.
+        """Split ``instance`` against the window's ``variable2node_map``.
 
-        Only splits computed against an empty ``variable2node_map`` (the
-        first statement of every window, or any statement when reuse is
-        off) are cacheable: later statements see window-local L1 copies
-        that depend on the window size.  Randomized tie-breaking disables
-        the cache entirely.
+        While none of the statement's operand blocks is modeled L1-resident
+        every ``locate`` would return empty ``l1_copies``, so the split is
+        the empty-map one (a template clone); otherwise the templates
+        replay the map-dependent vertex choice.  Check mode compares a
+        split made against a non-empty map with the scalar splitter.
         """
-        cacheable = (
-            self._split_cache is not None
-            and self._rng is None
-            and (var2node is None or len(var2node) == 0)
-        )
-        if cacheable:
-            cached = self._split_cache.get(instance.seq)
-            if cached is not None:
-                if check.enabled():
-                    # Check mode: a hit must be bit-equal to a recompute.
-                    # Safe to replay: cacheable implies a pure predictor, so
-                    # the duplicate location queries cannot perturb state.
-                    invariants.check_split_cache_hit(
-                        cached,
-                        split_statement(
-                            instance,
-                            self.locator,
-                            var2node,
-                            rng=self._rng,
-                            flatten_products=self.config.flatten_products,
-                        ),
-                    )
-                return cached
-            if self._templates is not None:
-                split = self._templates.split(instance)
-                if len(self._split_cache) < self._SPLIT_CACHE_LIMIT:
-                    self._split_cache[instance.seq] = split
-                return split
-        elif (
-            self._templates is not None
-            and self._rng is None
-            and var2node is not None
-            and len(var2node) > 0
-            and not self._templates.blocks_held(instance, var2node)
-        ):
-            # Mid-window fast path: none of this statement's operand blocks
-            # is modeled L1-resident, so every locate() would come back with
-            # empty ``l1_copies`` and the split equals the empty-map split.
-            split = None
-            if self._split_cache is not None:
-                split = self._split_cache.get(instance.seq)
-            if split is None:
-                split = self._templates.split(instance)
-                if (
-                    self._split_cache is not None
-                    and len(self._split_cache) < self._SPLIT_CACHE_LIMIT
-                ):
-                    self._split_cache[instance.seq] = split
-            if check.enabled():
-                # The no-overlap claim must hold: the split computed against
-                # the actual window map is bit-equal to the empty-map split.
-                invariants.check_split_cache_hit(
-                    split,
-                    split_statement(
-                        instance,
-                        self.locator,
-                        var2node,
-                        rng=self._rng,
-                        flatten_products=self.config.flatten_products,
-                    ),
-                )
-            return split
-        elif (
-            self._templates is not None
-            and self._rng is None
-            and var2node is not None
-            and len(var2node) > 0
-        ):
-            # Mid-window overlap path: some operand block is L1-resident, so
-            # the split depends on the window map — but the skeleton replay
-            # can still answer it from the tables plus the map, skipping the
-            # operand-tree rebuild and the per-leaf locate dispatch.
-            split = self._templates.split_with_map(instance, var2node)
-            if split is not None:
-                if check.enabled():
-                    invariants.check_split_cache_hit(
-                        split,
-                        split_statement(
-                            instance,
-                            self.locator,
-                            var2node,
-                            rng=self._rng,
-                            flatten_products=self.config.flatten_products,
-                        ),
-                    )
-                return split
-        split = split_statement(
-            instance,
-            self.locator,
-            var2node,
-            rng=self._rng,
-            flatten_products=self.config.flatten_products,
-        )
-        if cacheable and len(self._split_cache) < self._SPLIT_CACHE_LIMIT:
-            self._split_cache[instance.seq] = split
+        if var2node is not None and templates.blocks_held(instance, var2node):
+            split = templates.split_with_map(instance, var2node)
+        else:
+            split = templates.split(instance)
+        if check.enabled() and var2node is not None and len(var2node) > 0:
+            invariants.check_split_cache_hit(
+                split,
+                split_statement(
+                    instance,
+                    self.locator,
+                    var2node,
+                    flatten_products=self.config.flatten_products,
+                ),
+            )
         return split
 
     def _build_sync_graph(
@@ -518,15 +408,16 @@ class WindowScheduler:
         ``window_size``-window at a time, yielding each as it is built."""
         if window_size < 1:
             raise SchedulingError(f"window size must be >= 1, got {window_size}")
+        templates = self.templates_of(program, nest)
         stream = program.nest_instances(nest, program.seq_base_of(nest))
         buffer: List[StatementInstance] = []
         for instance in itertools.islice(stream, limit):
             buffer.append(instance)
             if len(buffer) == window_size:
-                yield self.schedule_window(buffer)
+                yield self.schedule_window(buffer, templates)
                 buffer = []
         if buffer:
-            yield self.schedule_window(buffer)
+            yield self.schedule_window(buffer, templates)
 
 
 @dataclass
@@ -550,33 +441,18 @@ class WindowSizeSearch:
         uid_counter: Optional[Iterator[int]] = None,
         fallback_nodes: Optional[Dict[int, int]] = None,
         split_plan: Optional[Dict[Tuple[str, int], bool]] = None,
-        split_cache: Optional[Dict[int, StatementSplit]] = None,
         session=None,
-        templates=None,
     ):
         """A search owning (or sharing) the uid stream its trials consume."""
         self.machine = machine
         self.locator = locator
         self.config = config
         self.uid_counter = uid_counter if uid_counter is not None else itertools.count()
-        # Per-nest vectorized split templates shared by every serial trial
-        # and the final schedule (parallel workers run the scalar path and
-        # return bit-equal results — the machine they unpickle already holds
-        # the nest's page translations).
-        self._templates = templates
         self.fallback_nodes = fallback_nodes
         self.split_plan = split_plan
-        # Forwarded to every trial scheduler (inline-pass gating + timing).
-        self._session = session
-        # Shared across all candidate-size trials of this nest (and the
-        # final full-nest scheduling): window-opening splits are identical
-        # regardless of window size, so their MST work is done once.  The
-        # partitioner passes one cache per nest so the empirical gate's
-        # candidate-plan passes contribute to (and benefit from) it too —
-        # splits do not depend on the split *plan*, only on the operands.
-        self._split_cache: Dict[int, StatementSplit] = (
-            split_cache if split_cache is not None else {}
-        )
+        # Forwarded to every trial scheduler (inline-pass gating, timing,
+        # and the per-nest split templates every trial shares).
+        self._session = session_or_default(session, machine, config)
 
     def search(self, program: Program, nest: LoopNest) -> SearchOutcome:
         """Try window sizes 1..max, keep the one minimizing data movement.
@@ -603,16 +479,18 @@ class WindowSizeSearch:
         """Movement of every candidate size; smallest best size wins ties.
 
         The sampled instance stream is materialized once and shared by all
-        trials (it is identical for every size), as are the window-opening
-        statement splits (via the split cache) and the :class:`DataLocator`.
-        Each trial still gets a fresh scheduler + load balancer — their
-        state is what the trial measures, so only the stateless work is
-        hoisted out of the loop.
+        trials (it is identical for every size), as are the nest's split
+        templates and the :class:`DataLocator`.  Each trial still gets a
+        fresh scheduler + load balancer — their state is what the trial
+        measures, so only the stateless work is hoisted out of the loop.
+        The templates are resolved first, so worker processes unpickle a
+        machine that already holds the nest's page translations.
         """
         tracer = get_tracer()
         search_span = tracer.span(
             "window.search", nest=nest.name, sample=sample
         )
+        templates = self._scheduler().templates_of(program, nest)
         instances = self._sample_instances(program, nest, sample)
         sizes = range(1, self.config.max_window_size + 1)
         if self.config.jobs > 1 and len(instances) > 0:
@@ -620,9 +498,8 @@ class WindowSizeSearch:
         else:
             movement_by_size = {}
             for size in sizes:
-                scheduler = self._scheduler()
                 movement_by_size[size] = self._sampled_movement(
-                    scheduler, instances, size
+                    self._scheduler(), templates, instances, size
                 )
         best_size = min(movement_by_size, key=lambda s: (movement_by_size[s], s))
         if tracer.enabled:
@@ -653,11 +530,7 @@ class WindowSizeSearch:
         nest_index = next(
             i for i, candidate in enumerate(program.nests) if candidate is nest
         )
-        skipped = (
-            tuple(sorted(self._session.skip_passes))
-            if self._session is not None
-            else ()
-        )
+        skipped = tuple(sorted(self._session.skip_passes))
         payloads = [
             (
                 self.machine,
@@ -691,9 +564,7 @@ class WindowSizeSearch:
             uid_counter=self.uid_counter,
             fallback_nodes=self.fallback_nodes,
             split_plan=self.split_plan,
-            split_cache=self._split_cache,
             session=self._session,
-            templates=self._templates,
         )
 
     def _sample_instances(
@@ -708,6 +579,7 @@ class WindowSizeSearch:
     @staticmethod
     def _sampled_movement(
         scheduler: WindowScheduler,
+        templates: SplitTemplates,
         instances: Sequence[StatementInstance],
         size: int,
     ) -> int:
@@ -715,7 +587,9 @@ class WindowSizeSearch:
         movement = 0
         for start in range(0, len(instances), size):
             window = instances[start : start + size]
-            movement += scheduler.schedule_window(window, sync_graph=False).movement
+            movement += scheduler.schedule_window(
+                window, templates, sync_graph=False
+            ).movement
         return movement
 
 
@@ -735,19 +609,17 @@ def _window_size_trial(payload) -> Tuple[int, int]:
     ) = payload
     nest = program.nests[nest_index]
     locator = DataLocator(machine, predictor)
-    session = None
-    if skipped:
-        # Rebuild just enough session context for inline-pass gating; the
-        # worker's timings die with the process, which is fine — the parent
-        # charges the search to the schedule pass as a whole.
-        from repro.core.partitioner import PartitionConfig
-        from repro.pipeline.session import CompilationSession
+    # Rebuild just enough session context for inline-pass gating and the
+    # nest's templates; the worker's timings die with the process, which is
+    # fine — the parent charges the search to the schedule pass as a whole.
+    from repro.core.partitioner import PartitionConfig
+    from repro.pipeline.session import CompilationSession
 
-        session = CompilationSession(
-            machine=machine,
-            config=PartitionConfig(window=config),
-            skip_passes=frozenset(skipped),
-        )
+    session = CompilationSession(
+        machine=machine,
+        config=PartitionConfig(window=config),
+        skip_passes=frozenset(skipped),
+    )
     search = WindowSizeSearch(
         machine,
         locator,
@@ -756,6 +628,22 @@ def _window_size_trial(payload) -> Tuple[int, int]:
         split_plan=split_plan,
         session=session,
     )
+    scheduler = search._scheduler()
+    templates = scheduler.templates_of(program, nest)
     instances = search._sample_instances(program, nest, sample)
-    movement = search._sampled_movement(search._scheduler(), instances, size)
+    movement = search._sampled_movement(scheduler, templates, instances, size)
     return size, movement
+
+
+def session_or_default(session, machine: Machine, config: WindowConfig):
+    """``session``, or a default-shaped one for scheduling outside a compile.
+
+    The session's caches hold each nest's tables and split templates, so a
+    bare scheduler or search still builds them once per nest.
+    """
+    if session is not None:
+        return session
+    from repro.core.partitioner import PartitionConfig
+    from repro.pipeline.session import CompilationSession
+
+    return CompilationSession(machine=machine, config=PartitionConfig(window=config))

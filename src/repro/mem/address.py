@@ -34,11 +34,6 @@ class BitField:
     low: int
     width: int
 
-    @property
-    def high(self) -> int:
-        """Exclusive upper bit index."""
-        return self.low + self.width
-
     def extract(self, address: int) -> int:
         """Value of this field within ``address``."""
         return (address >> self.low) & ((1 << self.width) - 1)
@@ -113,10 +108,6 @@ class CacheLineInterleaving:
         """Cache block (line) number of ``address``."""
         return address >> self.offset_field.width
 
-    def with_bank(self, address: int, bank: int) -> int:
-        """Rewrite the bank bits of ``address`` (used by page coloring)."""
-        return self.bank_field.insert(address, bank)
-
 
 class PageInterleaving:
     """Page-granularity mapping over channels/ranks/banks (Figure 2b)."""
@@ -144,9 +135,6 @@ class PageInterleaving:
     def channel_of(self, address: int) -> int:
         """Memory channel (controller) index of ``address``."""
         return self.channel_field.extract(address)
-
-    def rank_of(self, address: int) -> int:
-        return self.rank_field.extract(address)
 
     def bank_of(self, address: int) -> int:
         return self.bank_field.extract(address)

@@ -92,12 +92,6 @@ class TrafficMatrix:
             return 0.0
         return sum(self._flits.values()) / len(self._flits)
 
-    def utilization(self, link: LinkId) -> float:
-        """Fraction of total flit-hops carried by ``link``."""
-        if self.total_flit_hops == 0:
-            return 0.0
-        return self._flits.get(link, 0) / self.total_flit_hops
-
     def merge(self, other: "TrafficMatrix") -> None:
         """Fold another matrix (e.g. from a different phase) into this one."""
         for (link, flits) in other._flits.items():

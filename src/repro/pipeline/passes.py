@@ -400,24 +400,6 @@ class SchedulePass(Pass):
             nest_span = tracer.span(
                 "compile.nest", nest=nest.name, statements=nest.body_size
             )
-            # One split cache per nest, shared by the gate's candidate-plan
-            # passes, the window-size search, and the final scheduling: a
-            # statement's empty-map split depends only on its operands, so
-            # the MST work is done once per instance instead of once per
-            # pass (see WindowScheduler._split_of for the exact conditions).
-            split_cache = session.caches.split_cache_for(nest.name)
-            # Vectorized fast path (repro.core.vectorized): per-nest location
-            # tables + split templates, shared by the gate, the size search,
-            # and the final scheduling.  ensure() replays the whole nest's
-            # page translations in canonical first-touch order up front —
-            # the same frames the lazy scalar touches would assign.
-            from repro.core.vectorized import templates_for
-
-            templates = templates_for(
-                session, program, nest, locator, config.window.flatten_products
-            )
-            if templates is not None:
-                templates.tables.ensure(nest.instance_count)
             reuse = None
             if config.split_plan_override is not None:
                 keys = [(nest.name, b) for b in range(nest.body_size)]
@@ -426,8 +408,7 @@ class SchedulePass(Pass):
             else:
                 plan, variant, reuse = self._choose_nest_plan(
                     session, program, nest, locator, fallback_nodes,
-                    split_plan, profiles, split_cache, next_uid, predictor,
-                    templates,
+                    split_plan, profiles, next_uid,
                 )
             chosen_plan.update(plan)
             variant_by_nest[nest.name] = variant
@@ -449,9 +430,7 @@ class SchedulePass(Pass):
                     uid_counter=uid_counter,
                     fallback_nodes=fallback_nodes,
                     split_plan=plan,
-                    split_cache=split_cache,
                     session=session,
-                    templates=templates,
                 ).search(program, nest)
                 nest_schedules[nest.name] = outcome.best_schedule
                 window_sizes[nest.name] = outcome.best_size
@@ -467,9 +446,7 @@ class SchedulePass(Pass):
                     uid_counter=uid_counter,
                     fallback_nodes=fallback_nodes,
                     split_plan=plan,
-                    split_cache=split_cache,
                     session=session,
-                    templates=templates,
                 )
                 schedule = scheduler.schedule_nest(program, nest, size)
                 nest_schedules[nest.name] = schedule
@@ -515,10 +492,7 @@ class SchedulePass(Pass):
         fallback_nodes: Dict[int, int],
         profile_plan: Dict,
         profiles: Dict,
-        split_cache: Dict,
         first_uid: int,
-        predictor,
-        templates=None,
     ):
         """Pick the nest's split plan empirically (the gate).
 
@@ -566,8 +540,7 @@ class SchedulePass(Pass):
             return from_profile, variant, None
 
         star_measure = self._gate_measure(
-            session, program, nest, locator, fallback_nodes, star,
-            split_cache, first_uid, templates,
+            session, program, nest, locator, fallback_nodes, star, first_uid,
         )
         _trace_candidate(tracer, nest.name, "star", star_measure)
         best_plan = star
@@ -579,8 +552,7 @@ class SchedulePass(Pass):
         for variant, plan in candidates:
             measure = self._gate_measure(
                 session, program, nest, locator, fallback_nodes, plan,
-                split_cache, first_uid, templates,
-                bound=(best.cycles, movement_cap),
+                first_uid, bound=(best.cycles, movement_cap),
             )
             accepted = (
                 not measure.stopped
@@ -595,9 +567,7 @@ class SchedulePass(Pass):
         # The winning measure's full-nest schedule can stand in for the
         # final scheduling pass only when that pass would redo bit-equal
         # work: the gate covered the whole nest, the final pass is the
-        # adaptive one, the size search would see the same sample, and the
-        # predictor is pure (a stateful oracle's answers depend on the
-        # query stream, so skipped queries would change later answers).
+        # adaptive one, and the size search would see the same sample.
         reuse = best if best.schedule is not None else None
         if reuse is not None:
             count = nest.instance_count
@@ -606,10 +576,8 @@ class SchedulePass(Pass):
             gate_eff = min(count, min(limit, 768))
             cfg_sample = config.window.search_sample_instances
             final_eff = min(count, cfg_sample) if cfg_sample else count
-            pure = getattr(predictor, "pure_predict", True)
             reusable = (
                 config.adaptive_window
-                and pure
                 and limit >= count
                 and (not any(best_plan.values()) or gate_eff == final_eff)
             )
@@ -632,9 +600,7 @@ class SchedulePass(Pass):
         locator: DataLocator,
         fallback_nodes: Dict[int, int],
         plan: Dict,
-        split_cache: Dict,
         first_uid: int,
-        templates=None,
         bound: Optional[Tuple[float, float]] = None,
     ) -> "_GateMeasure":
         """Schedule and simulate one candidate plan over the gate sample.
@@ -644,9 +610,8 @@ class SchedulePass(Pass):
         measure stops after the first window whose prefix already reaches
         the best cycles or exceeds the cap: the full run could only be
         slower and move more, so the gate would reject it anyway.  The
-        stop is off for a stateful predictor (skipped location queries
-        would change its later answers) and in check mode, where the
-        candidate is measured in full and the rejection is verified.
+        stop is off in check mode, where the candidate is measured in full
+        and the rejection is verified.
         """
         from repro.sim.engine import SimConfig, Simulator
 
@@ -662,9 +627,7 @@ class SchedulePass(Pass):
             uid_counter=uid_counter,
             fallback_nodes=fallback_nodes,
             split_plan=plan,
-            split_cache=split_cache,
             session=session,
-            templates=templates,
         )
         measure = _GateMeasure(uid_counter=uid_counter)
         sample = config.gate_sample_instances
@@ -677,9 +640,7 @@ class SchedulePass(Pass):
                 config.window,
                 fallback_nodes=fallback_nodes,
                 split_plan=plan,
-                split_cache=split_cache,
                 session=session,
-                templates=templates,
             ).search_sample(program, nest, min(limit, 768))
             if timed:
                 measure.search_s = clock() - started
@@ -711,9 +672,7 @@ class SchedulePass(Pass):
 
         # (cycles, movement) of the first prefix that fails the bound.
         loss = []
-        early = not check.enabled() and getattr(
-            locator.predictor, "pure_predict", True
-        )
+        early = not check.enabled()
         stop = None
         if bound is not None:
             best_cycles, movement_cap = bound

@@ -2,7 +2,7 @@
 
 Before this layer existed, every cross-cutting concern — the machine and
 its data layout, the window configuration, an optional fault plan, the
-tracer, check mode, and the per-nest split caches — was threaded through
+tracer, check mode, and the per-nest caches — was threaded through
 the partitioner, window search, scheduler, balancer, and codegen as loose
 keyword arguments.  The session bundles all of it:
 
@@ -12,8 +12,8 @@ keyword arguments.  The session bundles all of it:
 * **pipeline shape** — the pass order and the set of skipped passes
   (see :mod:`repro.pipeline.passes` for the registry);
 * **run state** — per-pass wall-clock timings and the cross-pass caches
-  (today: the per-nest statement-split caches shared by the gate, the
-  window-size search, and the final scheduling pass).
+  (each nest's location tables and split templates, shared by profiling,
+  the gate, the window-size search, and the final scheduling pass).
 
 One session corresponds to one compile context.  ``fork()`` derives an
 independent sibling (fresh machine built from the same
@@ -43,28 +43,19 @@ _INHERIT = object()
 class SessionCaches:
     """Mutable caches owned by one session, scoped to one compile run.
 
-    ``split_caches`` maps nest name -> (instance seq -> StatementSplit);
-    one cache per nest is shared by the empirical gate's candidate-plan
-    passes, the window-size search, and the final scheduling (a
-    window-opening statement's split depends only on its operands, so the
-    MST work is done once per instance instead of once per pass).
+    Each nest's location tables and split templates
+    (:mod:`repro.core.vectorized`), built on first use and shared by every
+    pass and scheduler of the compile.
     """
 
     def __init__(self) -> None:
-        self.split_caches: Dict[str, Dict] = {}
-        #: nest name -> NestTables (or None when the nest/predictor is
-        #: unsupported and the scalar path must be used).
+        #: nest name -> NestTables.
         self.nest_tables: Dict[str, object] = {}
         #: (nest name, flatten_products) -> SplitTemplates.
         self.split_templates: Dict[tuple, object] = {}
 
-    def split_cache_for(self, nest_name: str) -> Dict:
-        """The (lazily created) split cache of one nest."""
-        return self.split_caches.setdefault(nest_name, {})
-
     def clear(self) -> None:
         """Drop all cached state (called at the start of each compile)."""
-        self.split_caches.clear()
         self.nest_tables.clear()
         self.split_templates.clear()
 

@@ -153,6 +153,10 @@ def _canonical_program(spec: Dict) -> Dict:
                 })
             except KeyError as exc:
                 raise ServeError(f"loop is missing field {exc}") from exc
+            if canonical_loops[-1]["step"] == 0:
+                raise ServeError(
+                    f"loop {canonical_loops[-1]['var']!r} has zero step"
+                )
         canonical_nests.append({
             "name": _require_type(
                 nest.get("name", f"nest{position}"), str, "nest name"

@@ -138,7 +138,6 @@ class TestModelStructure:
     def test_pure_predict_and_train_is_inert(self):
         machine, program = small_machine(), _build((64, 8, ("A(i) = B(i)",)))
         predictor = AnalyticMissPredictor(machine, program)
-        assert predictor.pure_predict is True
         address = machine.layout.pa_of("A", 0)
         before = predictor.predict(address)
         for _ in range(8):

@@ -181,7 +181,9 @@ class TestBalancerChoice:
 
 
 class TestSplitCacheHit:
-    def _scheduler_and_instance(self):
+    """A split template poisoned in the store must fail its clone's check."""
+
+    def _templates_and_instances(self):
         machine = small_machine()
         program = Program("cachebug")
         for name in ("A", "B", "C"):
@@ -192,26 +194,27 @@ class TestSplitCacheHit:
             )
         )
         program.declare_on(machine)
-        scheduler = WindowScheduler(
-            machine, DataLocator(machine, None), split_cache={}
-        )
-        assert scheduler._split_cache is not None
-        instance = next(iter(program.instances()))
-        return scheduler, instance
+        scheduler = WindowScheduler(machine, DataLocator(machine, None))
+        templates = scheduler.templates_of(program, program.nests[0])
+        first, second = list(program.instances())[:2]
+        return templates, first, second
 
     def test_fires_on_poisoned_cache_entry(self):
-        scheduler, instance = self._scheduler_and_instance()
-        split = scheduler._split_of(instance, None)  # populate the cache
+        templates, first, second = self._templates_and_instances()
+        split = templates.split(first)  # the statement's first template
+        store = templates._templates[0]
+        (signature,) = store
         poisoned = dataclasses.replace(
             split, store_node=(split.store_node + 1) % 16
         )
-        scheduler._split_cache[instance.seq] = poisoned
+        store[signature] = poisoned
+        # Same operand homes: the second instance is served as a clone.
         with check.checking():
             with pytest.raises(CheckError, match="split cache divergence"):
-                scheduler._split_of(instance, None)
-        scheduler._split_cache[instance.seq] = split  # restore: hit is clean
+                templates.split(second)
+        store[signature] = split  # restore: the clone is clean
         with check.checking():
-            assert scheduler._split_of(instance, None) is split
+            assert templates.split(second).store_node == split.store_node
 
 
 @dataclasses.dataclass

@@ -1,7 +1,9 @@
 """Tests for baselines (default placement, locality, data mapping, ideal)
 and the code generator."""
 
+import pytest
 
+from repro.arch.knl import small_machine
 from repro.baselines.data_mapping import preferred_mc, profile_page_mc_mapping
 from repro.baselines.default_placement import DefaultPlacement
 from repro.baselines.ideal import (
@@ -95,13 +97,51 @@ class TestIdealScenarios:
         machine, _ = declared
         oracle = OracleL2Predictor(machine)
         address = machine.layout.pa_of("A", 0)
-        assert oracle.predict(address) is False   # cold: really a miss
-        assert oracle.predict(address) is True    # now resident
-        assert oracle.accuracy() == 1.0
+        neighbour = machine.layout.pa_of("A", 1)  # same L2 block
+        assert oracle.predict(address) is False   # never seen: cold miss
+        oracle.train(address, False)
+        oracle.train(neighbour, True)
+        assert oracle.predict(address) is False   # 1 of 2: a tie is a miss
+        oracle.train(address, True)
+        assert oracle.predict(address) is True    # 2 of 3 hit
+        # Predicting never changes a verdict; only train writes the table.
+        assert [oracle.predict(address) for _ in range(3)] == [True] * 3
+        assert list(oracle.predict_many([address, neighbour, 1 << 40])) == [
+            True,
+            True,
+            False,
+        ]
+        assert oracle.accuracy() == pytest.approx(2 / 3)
+
+    def test_oracle_trains_on_the_whole_stream(self, machine, tiny_program):
+        """The ideal config trains past the default 4000-instance prefix."""
+        from repro.core.partitioner import train_predictor
+
+        tiny_program.declare_on(machine)
+        oracle = OracleL2Predictor(machine)
+        train_predictor(machine, tiny_program, oracle, tiny_program.total_instances())
+        accesses = sum(
+            len(instance.accesses()) for instance in tiny_program.instances()
+        )
+        assert sum(oracle._total.values()) == accesses
 
     def test_ideal_analysis_partition_runs(self, machine, tiny_program):
         result = partition_with_ideal_analysis(machine, tiny_program)
         assert result.statement_count == tiny_program.total_instances()
+
+    def test_ideal_analysis_is_deterministic(self, tiny_program):
+        first = partition_with_ideal_analysis(small_machine(), tiny_program)
+        second = partition_with_ideal_analysis(small_machine(), tiny_program)
+        assert first.split_plan == second.split_plan
+        assert first.window_sizes == second.window_sizes
+        assert first.per_statement_movement() == second.per_statement_movement()
+        assert [
+            (u.uid, u.seq, u.node, u.gathered, u.sub_results)
+            for u in first.units()
+        ] == [
+            (u.uid, u.seq, u.node, u.gathered, u.sub_results)
+            for u in second.units()
+        ]
 
 
 class TestCodegen:

@@ -8,6 +8,7 @@ from repro.core.balancer import LoadBalancer
 from repro.core.locator import DataLocator, VariableToNodeMap
 from repro.core.scheduler import schedule_star, schedule_statement, star_cost
 from repro.core.splitter import split_statement
+from repro.core.vectorized import NestTables
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
@@ -17,13 +18,21 @@ def first_instance(program):
     return next(program.instances())
 
 
+def nest_tables(machine, program):
+    """The first nest's location tables, covering the whole nest."""
+    nest = program.nests[0]
+    tables = NestTables(program, nest, machine, None)
+    tables.ensure(nest.instance_count)
+    return tables
+
+
 def split_and_schedule(machine, program, instance=None, var2node=None):
     locator = DataLocator(machine)
     inst = instance or first_instance(program)
     split = split_statement(inst, locator, var2node)
     balancer = LoadBalancer(machine.node_count)
     schedule = schedule_statement(
-        split, locator, balancer, itertools.count(), var2node
+        split, nest_tables(machine, program), balancer, itertools.count(), var2node
     )
     return split, schedule
 
@@ -32,9 +41,10 @@ class TestSplitter:
     def test_mst_weight_not_above_star(self, declared):
         machine, program = declared
         locator = DataLocator(machine)
+        tables = nest_tables(machine, program)
         for instance in itertools.islice(program.instances(), 16):
             split = split_statement(instance, locator)
-            star = star_cost(instance, locator)
+            star = star_cost(instance, tables)
             assert split.mst_weight <= star
 
     def test_leaves_match_reads(self, declared):
@@ -111,15 +121,16 @@ class TestScheduler:
     def test_movement_close_to_mst_weight(self, declared):
         machine, program = declared
         locator = DataLocator(machine)
+        tables = nest_tables(machine, program)
         for instance in itertools.islice(program.instances(), 8):
             split = split_statement(instance, locator)
             balancer = LoadBalancer(machine.node_count)
             schedule = schedule_statement(
-                split, locator, balancer, itertools.count()
+                split, tables, balancer, itertools.count()
             )
             # Value tracking may deviate from the MST bound slightly when
             # equal-weight merges interleave, but never above the star.
-            assert schedule.movement <= star_cost(instance, locator) + split.mst_weight
+            assert schedule.movement <= star_cost(instance, tables) + split.mst_weight
 
     def test_dag_is_acyclic_and_closed(self, declared):
         machine, program = declared
@@ -163,10 +174,12 @@ class TestScheduler:
 class TestStarSchedule:
     def test_single_unit(self, declared):
         machine, program = declared
-        locator = DataLocator(machine)
         instance = first_instance(program)
         schedule = schedule_star(
-            instance, locator, LoadBalancer(machine.node_count), itertools.count()
+            instance,
+            nest_tables(machine, program),
+            LoadBalancer(machine.node_count),
+            itertools.count(),
         )
         assert len(schedule.subcomputations) == 1
         unit = schedule.subcomputations[0]
@@ -175,17 +188,15 @@ class TestStarSchedule:
 
     def test_runs_at_exec_node(self, declared):
         machine, program = declared
-        locator = DataLocator(machine)
         instance = first_instance(program)
         schedule = schedule_star(
-            instance, locator, LoadBalancer(machine.node_count),
-            itertools.count(), exec_node=7,
+            instance, nest_tables(machine, program),
+            LoadBalancer(machine.node_count), itertools.count(), exec_node=7,
         )
         assert schedule.subcomputations[0].node == 7
 
     def test_star_cost_counts_unique_blocks(self, declared):
         machine, program = declared
-        locator = DataLocator(machine)
         p = Program()
         p.declare("A", 64)
         p.declare("B", 64)
@@ -197,7 +208,7 @@ class TestStarSchedule:
         p.declare_on(machine)
         inst = first_instance(p)
         # B(0), B(1) share a block: one fetch, plus the store leg (0: local).
-        cost = star_cost(inst, locator)
+        cost = star_cost(inst, nest_tables(machine, p))
         home_b = machine.home_node("B", 0)
         home_a = machine.home_node("A", 0)
         assert cost == machine.distance(home_b, home_a)
@@ -210,4 +221,4 @@ class TestStarSchedule:
         node = locator.store_node(instance.write)
         for access in instance.reads:
             v2n.record(locator.block_of(access), node)
-        assert star_cost(instance, locator, v2n, node) == 0
+        assert star_cost(instance, nest_tables(machine, program), v2n, node) == 0

@@ -17,7 +17,7 @@ from repro.core.window import (
     WindowSizeSearch,
 )
 from repro.cache.predictor import HitMissPredictor
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, WorkloadError
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
@@ -88,6 +88,37 @@ class TestWindowScheduler:
                 body_index = statement_schedule.instance.body_index
                 if body_index == 1:
                     assert len(statement_schedule.subcomputations) == 1
+
+
+class TestIrregularWithoutIndexData:
+    """An indirect subscript whose index data is missing cannot be resolved:
+    compiling or scheduling the nest raises the program's own error."""
+
+    MESSAGE = "no runtime data for index array 'IDX'"
+
+    @staticmethod
+    def _declared(machine):
+        program = Program("irr")
+        for name in ("X", "Y", "IDX"):
+            program.declare(name, 64)
+        program.add_nest(
+            LoopNest.of(
+                [Loop("i", 0, 16)], [parse_statement("X(i) = Y(IDX(i))")], "main"
+            )
+        )
+        program.declare_on(machine)
+        return program
+
+    def test_partition_raises(self, machine):
+        program = self._declared(machine)
+        with pytest.raises(WorkloadError, match=self.MESSAGE):
+            NdpPartitioner(machine).partition(program)
+
+    def test_schedule_nest_raises(self, machine):
+        program = self._declared(machine)
+        scheduler = WindowScheduler(machine, DataLocator(machine))
+        with pytest.raises(WorkloadError, match=self.MESSAGE):
+            scheduler.schedule_nest(program, program.nests[0], 2)
 
 
 class TestWindowSizeSearch:

@@ -11,42 +11,42 @@ subcomputation (Fig 11).
 import itertools
 from typing import Dict
 
-import pytest
+import numpy as np
 
 from repro.arch.knl import small_machine
+from repro.arch.machine import Machine
 from repro.core.balancer import LoadBalancer
-from repro.core.locator import DataLocator, Location
+from repro.core.locator import DataLocator
 from repro.core.scheduler import schedule_statement, star_cost
 from repro.core.splitter import split_statement
+from repro.core.vectorized import NestTables
 from repro.core.window import WindowConfig, WindowScheduler
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
-from repro.ir.statement import Access
 from repro.noc.topology import Coord, Mesh2D
 
 
-class ManualLocator(DataLocator):
-    """A locator with hand-pinned array -> node placements (one per array)."""
+class PinnedMachine(Machine):
+    """A 6x6-mesh machine whose arrays are each homed on one chosen node.
 
-    def __init__(self, machine, placement: Dict[str, Coord]):
-        super().__init__(machine)
-        self._nodes = {
-            name: machine.mesh.id_of(coord) for name, coord in placement.items()
+    Without a predictor every operand's location is its home, so pinning
+    the homes pins what the splitter and the scheduler's tables see.
+    """
+
+    def __init__(self, placement: Dict[str, Coord]):
+        super().__init__(small_machine().config)
+        self.mesh = Mesh2D(6, 6)  # wider mesh for the figures' geometry
+        self._pinned = {
+            name: self.mesh.id_of(coord) for name, coord in placement.items()
         }
 
-    def locate(self, access: Access, var2node=None) -> Location:
-        l1_copies = ()
-        if var2node is not None:
-            l1_copies = var2node.nodes_with(self.block_of(access))
-        return Location(access, self._nodes[access.array], True, l1_copies)
+    def home_node(self, name, index, owner_hint=None) -> int:
+        return self._pinned[name]
 
-    def store_node(self, access: Access) -> int:
-        return self._nodes[access.array]
-
-    def block_of(self, access: Access) -> int:
-        # One block per array: enough for the worked examples.
-        return hash(access.array) % (1 << 20)
+    def home_node_map(self, name) -> np.ndarray:
+        length = self.layout.spec(name).length
+        return np.full(length, self._pinned[name], dtype=np.int64)
 
 
 def build_program(statements, arrays, trip=1):
@@ -63,11 +63,15 @@ def build_program(statements, arrays, trip=1):
     return program
 
 
-@pytest.fixture
-def mesh6():
-    machine = small_machine()
-    machine.mesh = Mesh2D(6, 6)  # wider mesh for the figures' geometry
-    return machine
+def setup_single(statement: str, placement: Dict[str, Coord]):
+    """(machine, locator, tables, first instance) of a one-statement loop."""
+    machine = PinnedMachine(placement)
+    program = build_program([statement], sorted(placement))
+    program.declare_on(machine)
+    nest = program.nests[0]
+    tables = NestTables(program, nest, machine, None)
+    tables.ensure(nest.instance_count)
+    return machine, DataLocator(machine), tables, next(program.instances())
 
 
 class TestFigure9SingleStatement:
@@ -81,31 +85,25 @@ class TestFigure9SingleStatement:
         "D": Coord(0, 2),   # 2 links from A, 2 from C
     }
 
-    def setup_case(self, mesh6):
-        program = build_program(
-            ["A(i) = B(i) + C(i) + D(i) + E(i)"], list("ABCDE")
-        )
-        program.declare_on(mesh6)
-        locator = ManualLocator(mesh6, self.PLACEMENT)
-        instance = next(program.instances())
-        return mesh6, locator, instance
+    def setup_case(self):
+        return setup_single("A(i) = B(i) + C(i) + D(i) + E(i)", self.PLACEMENT)
 
-    def test_default_movement_is_star(self, mesh6):
-        machine, locator, instance = self.setup_case(mesh6)
+    def test_default_movement_is_star(self):
+        machine, locator, tables, instance = self.setup_case()
         # All inputs travel to n_A: 2 + 4 + 2 + 4 = 12 links.
-        assert star_cost(instance, locator) == 12
+        assert star_cost(instance, tables) == 12
 
-    def test_mst_movement(self, mesh6):
-        machine, locator, instance = self.setup_case(mesh6)
+    def test_mst_movement(self):
+        machine, locator, tables, instance = self.setup_case()
         split = split_statement(instance, locator)
         # MST: A-B (2), B-E (2), A-D (2), D-C (2) = 8 links.
         assert split.mst_weight == 8
 
-    def test_subcomputations_execute_near_data(self, mesh6):
-        machine, locator, instance = self.setup_case(mesh6)
+    def test_subcomputations_execute_near_data(self):
+        machine, locator, tables, instance = self.setup_case()
         split = split_statement(instance, locator)
         schedule = schedule_statement(
-            split, locator, LoadBalancer(machine.node_count), itertools.count()
+            split, tables, LoadBalancer(machine.node_count), itertools.count()
         )
         assert schedule.movement == 8
         final = next(s for s in schedule.subcomputations if s.is_final)
@@ -125,30 +123,26 @@ class TestFigure10Parentheses:
         "E": Coord(5, 1),
     }
 
-    def setup_case(self, mesh6):
-        program = build_program(["A(i) = B(i) * (C(i) + D(i) + E(i))"], list("ABCDE"))
-        program.declare_on(mesh6)
-        locator = ManualLocator(mesh6, self.PLACEMENT)
-        instance = next(program.instances())
-        return mesh6, locator, instance
+    def setup_case(self):
+        return setup_single("A(i) = B(i) * (C(i) + D(i) + E(i))", self.PLACEMENT)
 
-    def test_default_movement(self, mesh6):
-        machine, locator, instance = self.setup_case(mesh6)
+    def test_default_movement(self):
+        machine, locator, tables, instance = self.setup_case()
         # B:1 + C:4 + D:5 + E:6 = 16.
-        assert star_cost(instance, locator) == 16
+        assert star_cost(instance, tables) == 16
 
-    def test_level_based_mst(self, mesh6):
-        machine, locator, instance = self.setup_case(mesh6)
+    def test_level_based_mst(self):
+        machine, locator, tables, instance = self.setup_case()
         split = split_statement(instance, locator)
         # Inner set {C,D,E}: C-D (1) + D-E (1).  Outer: B attaches to the
         # component at its nearest member (C, distance 3), A-B (1) => 6.
         assert split.mst_weight == 6
 
-    def test_inner_sum_before_multiply(self, mesh6):
-        machine, locator, instance = self.setup_case(mesh6)
+    def test_inner_sum_before_multiply(self):
+        machine, locator, tables, instance = self.setup_case()
         split = split_statement(instance, locator)
         schedule = schedule_statement(
-            split, locator, LoadBalancer(machine.node_count), itertools.count()
+            split, tables, LoadBalancer(machine.node_count), itertools.count()
         )
         add_subs = [s for s in schedule.subcomputations if s.op == "+" and s.op_count]
         mul_subs = [s for s in schedule.subcomputations if s.op == "*" and s.op_count]
@@ -178,46 +172,31 @@ class TestFigure11MultiStatementReuse:
         "Y": Coord(1, 3),
     }
 
-    def make_scheduler(self, machine, locator, window_config=None):
-        return WindowScheduler(
+    def schedule(self, window_size: int):
+        """The two-statement loop scheduled in ``window_size`` windows."""
+        machine = PinnedMachine(self.PLACEMENT)
+        program = build_program(
+            ["A(i) = B(i) + C(i) + D(i) + E(i)", "X(i) = Y(i) + C(i)"],
+            list("ABCDE") + ["X", "Y"],
+        )
+        program.declare_on(machine)
+        scheduler = WindowScheduler(
             machine,
-            locator,
-            window_config or WindowConfig(always_split=True),
+            DataLocator(machine),
+            WindowConfig(always_split=True),
             LoadBalancer(machine.node_count),
         )
+        return scheduler.schedule_nest(program, program.nests[0], window_size)
 
-    def test_window_reuses_l1_copy(self, mesh6):
-        program = build_program(
-            ["A(i) = B(i) + C(i) + D(i) + E(i)", "X(i) = Y(i) + C(i)"],
-            list("ABCDE") + ["X", "Y"],
-        )
-        program.declare_on(mesh6)
-        locator = ManualLocator(mesh6, self.PLACEMENT)
-        instances = list(program.instances())
-
-        scheduler = self.make_scheduler(mesh6, locator)
-        window = scheduler.schedule_window(instances)
-        together = window.movement
-
+    def test_window_reuses_l1_copy(self):
+        together = self.schedule(2)
+        assert len(together.windows) == 1
         # Scheduling each statement in its own window loses the reuse.
-        scheduler_isolated = self.make_scheduler(mesh6, locator)
-        isolated = sum(
-            scheduler_isolated.schedule_window([inst]).movement
-            for inst in instances
-        )
-        assert together < isolated
+        isolated = self.schedule(1)
+        assert together.movement < isolated.movement
 
-    def test_s2_gather_hits_l1(self, mesh6):
-        program = build_program(
-            ["A(i) = B(i) + C(i) + D(i) + E(i)", "X(i) = Y(i) + C(i)"],
-            list("ABCDE") + ["X", "Y"],
-        )
-        program.declare_on(mesh6)
-        locator = ManualLocator(mesh6, self.PLACEMENT)
-        instances = list(program.instances())
-        scheduler = self.make_scheduler(mesh6, locator)
-        window = scheduler.schedule_window(instances)
-        s2 = window.schedules[1]
+    def test_s2_gather_hits_l1(self):
+        s2 = self.schedule(2).windows[0].schedules[1]
         c_gathers = [
             g
             for s in s2.subcomputations

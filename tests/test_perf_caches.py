@@ -1,16 +1,13 @@
 """Regression tests for the perf-layer caches added on top of the geometry
 tables: XY-route memoization, instance-stream memoization (and its
-invalidation), and the split cache staying off under stateful predictors."""
+invalidation), gate schedule reuse, and the gate's early rejection."""
 
 from __future__ import annotations
 
 import pickle
 
 from repro.arch.knl import small_machine
-from repro.baselines.ideal import OracleL2Predictor
 from repro.cache.predictor import HitMissPredictor
-from repro.core.locator import DataLocator
-from repro.core.window import WindowScheduler
 from repro.ir.loop import Loop, LoopNest
 from repro.ir.parser import parse_statement
 from repro.ir.program import Program
@@ -138,28 +135,43 @@ class TestGateScheduleReuse:
         )
         return p
 
-    def test_reused_schedule_matches_memoization_free_path(self):
-        """End-to-end: the fast path (split cache + gate schedule reuse) and
-        the memoization-free path (forced via an impure-flagged but
-        behaviorally pure predictor) must agree on everything but absolute
-        uid values."""
+    def test_reused_schedule_matches_memoization_free_path(self, monkeypatch):
+        """End-to-end: adopting the gate's winning schedule and redoing the
+        final search and scheduling from scratch must agree on everything
+        but absolute uid values."""
         from repro.core.partitioner import NdpPartitioner, PartitionConfig
+        from repro.core.window import WindowSizeSearch
+        from repro.pipeline.passes import SchedulePass
         from repro.sim.engine import run_schedule
 
-        class _ImpureFlagged(HitMissPredictor):
-            # Same answers as the pure predictor; the flag alone turns off
-            # the split cache and the gate's schedule reuse.
-            pure_predict = False
+        choose = SchedulePass._choose_nest_plan
+        search = WindowSizeSearch.search
+        final_searches = []
+
+        def counted_search(self, *args):
+            final_searches.append(1)
+            return search(self, *args)
+
+        monkeypatch.setattr(WindowSizeSearch, "search", counted_search)
+
+        def without_reuse(self, *args):
+            plan, variant, _ = choose(self, *args)
+            return plan, variant, None
 
         results = []
-        for predictor in (HitMissPredictor(), _ImpureFlagged()):
+        for reuse in (True, False):
+            if not reuse:
+                monkeypatch.setattr(SchedulePass, "_choose_nest_plan", without_reuse)
             machine = small_machine()
             partitioner = NdpPartitioner(machine, PartitionConfig())
-            partitioner.predictor = predictor
+            partitioner.predictor = HitMissPredictor()
             result = partitioner.partition(self._gated_program())
             machine.mcdram.reset()
             metrics = run_schedule(machine, result.units())
             results.append((result, metrics))
+            # The reusing compile adopts the gate's schedule; the other one
+            # redoes the final search.
+            assert len(final_searches) == (0 if reuse else 1)
         (fast, fast_metrics), (slow, slow_metrics) = results
         assert fast.variant_by_nest == slow.variant_by_nest
         assert fast.window_sizes == slow.window_sizes
@@ -177,10 +189,10 @@ class TestGateEarlyRejection:
 
     The profile plan (split the first statement only) provably loses
     halfway through the nest and is dropped; the all-split plan then wins.
-    Measuring every candidate in full (impure-flagged predictor, or check
-    mode) must give the same verdict and the same schedule up to absolute
-    uids: each candidate draws uids from its own counter, so an aborted
-    measure cannot shift the winner's.
+    Measuring every candidate in full (check mode) must give the same
+    verdict and the same schedule up to absolute uids: each candidate draws
+    uids from its own counter, so an aborted measure cannot shift the
+    winner's.
     """
 
     PLAN = {("kernel", 0): True, ("kernel", 1): False}
@@ -206,7 +218,7 @@ class TestGateEarlyRejection:
         )
         return p
 
-    def _compile(self, monkeypatch, predictor, check_mode=False):
+    def _compile(self, monkeypatch, check_mode=False):
         import io
         import json
 
@@ -223,7 +235,7 @@ class TestGateEarlyRejection:
         partitioner = NdpPartitioner(
             machine, PartitionConfig(gate_movement_tolerance=3.0)
         )
-        partitioner.predictor = predictor
+        partitioner.predictor = HitMissPredictor()
         sink = io.StringIO()
         with tracing(sink), check.checking(check_mode):
             result = partitioner.partition(self._program())
@@ -237,10 +249,7 @@ class TestGateEarlyRejection:
         return result, metrics, candidates
 
     def test_aborted_candidate_then_winner(self, monkeypatch):
-        class _ImpureFlagged(HitMissPredictor):
-            pure_predict = False
-
-        fast, fast_metrics, bounded = self._compile(monkeypatch, HitMissPredictor())
+        fast, fast_metrics, bounded = self._compile(monkeypatch)
         profile = bounded["profile"]
         assert profile["stopped_early"] is True
         assert profile["accepted"] is False
@@ -250,36 +259,15 @@ class TestGateEarlyRejection:
         assert bounded["split"]["accepted"] is True
         assert fast.variant_by_nest == {"kernel": "split"}
 
-        for predictor, check_mode in (
-            (_ImpureFlagged(), False),
-            (HitMissPredictor(), True),
-        ):
-            full, full_metrics, measured = self._compile(
-                monkeypatch, predictor, check_mode
-            )
-            # Measured in full: the profile plan still loses, on its totals.
-            assert "stopped_early" not in measured["profile"]
-            assert measured["profile"]["accepted"] is False
-            assert measured["profile"]["cycles"] >= profile["cycles_at_least"]
-            assert measured["profile"]["movement"] >= profile["movement_at_least"]
-            assert full.variant_by_nest == fast.variant_by_nest
-            assert full.window_sizes == fast.window_sizes
-            assert full.movement_by_size == fast.movement_by_size
-            assert full.per_statement_movement() == fast.per_statement_movement()
-            assert _canonical_units(full.units()) == _canonical_units(fast.units())
-            assert full_metrics == fast_metrics
-
-
-class TestSplitCachePurity:
-    def test_pure_predictor_keeps_shared_cache(self):
-        machine = small_machine()
-        locator = DataLocator(machine, HitMissPredictor())
-        shared = {}
-        scheduler = WindowScheduler(machine, locator, split_cache=shared)
-        assert scheduler._split_cache is shared
-
-    def test_stateful_oracle_disables_split_cache(self):
-        machine = small_machine()
-        locator = DataLocator(machine, OracleL2Predictor(machine))
-        scheduler = WindowScheduler(machine, locator, split_cache={})
-        assert scheduler._split_cache is None
+        full, full_metrics, measured = self._compile(monkeypatch, check_mode=True)
+        # Measured in full: the profile plan still loses, on its totals.
+        assert "stopped_early" not in measured["profile"]
+        assert measured["profile"]["accepted"] is False
+        assert measured["profile"]["cycles"] >= profile["cycles_at_least"]
+        assert measured["profile"]["movement"] >= profile["movement_at_least"]
+        assert full.variant_by_nest == fast.variant_by_nest
+        assert full.window_sizes == fast.window_sizes
+        assert full.movement_by_size == fast.movement_by_size
+        assert full.per_statement_movement() == fast.per_statement_movement()
+        assert _canonical_units(full.units()) == _canonical_units(fast.units())
+        assert full_metrics == fast_metrics

@@ -55,14 +55,12 @@ def _chained_app() -> Program:
     return p
 
 
-def _search(program_factory, jobs: int, random_ties: bool = False):
+def _search(program_factory, jobs: int):
     machine = small_machine()
     program = program_factory()
     program.declare_on(machine)
     locator = DataLocator(machine, HitMissPredictor())
-    config = WindowConfig(
-        jobs=jobs, random_ties=random_ties, search_sample_instances=64
-    )
+    config = WindowConfig(jobs=jobs, search_sample_instances=64)
     search = WindowSizeSearch(machine, locator, config)
     outcome = search.search(program, program.nests[0])
     return outcome.best_size, outcome.movement_by_size
@@ -75,9 +73,3 @@ def test_parallel_search_matches_serial(app):
     assert parallel_best == serial_best
     assert parallel_movement == serial_movement
     assert set(serial_movement) == set(range(1, 9))
-
-
-def test_parallel_search_matches_serial_with_random_ties():
-    serial = _search(_chained_app, jobs=1, random_ties=True)
-    parallel = _search(_chained_app, jobs=2, random_ties=True)
-    assert parallel == serial

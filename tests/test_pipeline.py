@@ -177,7 +177,9 @@ class TestSessionLifecycle:
         compile_program(split_program(), session)
         fork = session.fork()
         assert fork.machine is not session.machine
-        assert fork.caches.split_caches == {}
+        assert session.caches.nest_tables
+        assert fork.caches.nest_tables == {}
+        assert fork.caches.split_templates == {}
         assert fork.skip_passes == session.skip_passes
         assert fork.timings == {}
 

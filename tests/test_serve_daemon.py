@@ -82,6 +82,24 @@ class TestHttpSurface:
         assert excinfo.value.status == 400
         assert "unknown app" in str(excinfo.value)
 
+    def test_zero_step_loop_is_400(self, daemon):
+        program = {
+            "arrays": {"A": 64, "B": 64},
+            "nests": [
+                {
+                    "loops": [{"var": "i", "start": 0, "stop": 8, "step": 0}],
+                    "body": ["A(i) = B(i)"],
+                }
+            ],
+        }
+        with ServeClient(daemon.url) as client:
+            with pytest.raises(ServeResponseError) as excinfo:
+                client.compile({"program": program})
+            stats = client.stats()
+        assert excinfo.value.status == 400
+        assert "zero step" in str(excinfo.value)
+        assert stats["compiles"] == 0
+
     def test_unknown_path_is_404(self, daemon):
         with ServeClient(daemon.url) as client:
             with pytest.raises(ServeResponseError) as excinfo:

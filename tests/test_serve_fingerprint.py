@@ -180,6 +180,18 @@ class TestValidation:
         with pytest.raises(ServeError, match="arrays"):
             CompileRequest.from_json({"program": bad})
 
+    def test_zero_step_loop_rejected(self):
+        program = json.loads(json.dumps(INLINE_PROGRAM))
+        program["nests"][0]["loops"][0]["step"] = 0
+        with pytest.raises(ServeError, match="zero step"):
+            CompileRequest.from_json({"program": program})
+
+    def test_stepped_loop_fingerprint_is_unchanged(self):
+        # Validating the step must not change the key of a valid request.
+        program = json.loads(json.dumps(INLINE_PROGRAM))
+        program["nests"][0]["loops"][0]["step"] = 2
+        assert fp({"program": program}) == "deb9ebe5af569efc"
+
     def test_default_machine_tracks_app(self):
         assert CompileRequest.from_json({"app": "tiny"}).machine == "small"
         assert CompileRequest.from_json({"app": "fft"}).machine == "paper"
