@@ -11,7 +11,7 @@ SERVE_OUT_DIR ?= out/serve
 
 .PHONY: test lint cov check bench bench-smoke bench-regression quick report \
 	report-smoke faults-demo docs-check examples-smoke serve-smoke \
-	serve-bench mesh-sweep mesh-sweep-smoke runtime-smoke
+	serve-bench mesh-sweep mesh-sweep-smoke runtime-smoke call-audit
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,6 +36,12 @@ check:
 	REPRO_CHECK=1 $(PYTHON) -m repro.cli faults --seed 1 --out report_check_faults.json
 	$(PYTHON) -m repro.obs.schema report_check_faults.json
 	REPRO_CHECK=1 $(PYTHON) tools/check_ideal_analysis.py
+
+# Code-diet lead, not a gate: run tier-1 in process under a stdlib call
+# profiler and list every repro function it never calls (forked workers
+# and subprocess CLIs are not followed; see tools/call_audit.py).
+call-audit:
+	$(PYTHON) tools/call_audit.py
 
 # Time compile (partition/window-search) + simulate per app -> BENCH_compile.json
 bench:

@@ -1,20 +1,26 @@
-"""Per-node L1 caches and distributed L2 banks.
+"""Per-node L1 caches, distributed L2 banks, and the one movement walk.
 
 :class:`CacheSystem` owns one L1 per mesh node and one L2 bank per node
 (SNUCA: a block has exactly one home bank, determined by its physical
-address).  The execution simulator drives these to measure the L1 hit rates
-of Figures 16 and 21; the window scheduler separately *models* L1 contents
-with its ``variable2node_map`` — the simulator is the ground truth that
-model is judged against.
+address).  Its :meth:`~CacheSystem.walk` is the single rule for where an
+access is served along Figure 1's path — the requesting L1, else the
+block's home L2 bank, else a memory controller — and so for which legs
+the paper's DataMovement metric charges.  The execution simulator, the
+task runtime's :class:`~repro.exec.runtime.DataStore` and the profiler
+all consume it; each adds only its own accounting on top.  The window
+scheduler separately *models* L1 contents with its ``variable2node_map``
+— the simulator is the ground truth that model is judged against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.cache.sram import CacheConfig, SetAssocCache
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # repro.arch imports repro.cache; no runtime cycle
+    from repro.arch.machine import Machine
 
 
 class L1Cache(SetAssocCache):
@@ -34,88 +40,60 @@ class L2Bank(SetAssocCache):
         self.node_id = node_id
 
 
-@dataclass
-class AccessOutcome:
-    """Result of a load through the hierarchy at one node."""
-
-    l1_hit: bool
-    l2_hit: bool
-    home_node: int
-
-    @property
-    def went_to_memory(self) -> bool:
-        return not self.l1_hit and not self.l2_hit
-
-
 class CacheSystem:
-    """All L1s and L2 banks of the chip, plus hierarchy access logic."""
+    """All L1s and L2 banks of ``machine``, plus the access walk."""
 
-    def __init__(
-        self,
-        node_count: int,
-        l1_config: CacheConfig,
-        l2_config: CacheConfig,
-        bank_to_node: Optional[List[int]] = None,
-    ):
-        self.node_count = node_count
-        self.l1s: List[L1Cache] = [L1Cache(n, l1_config) for n in range(node_count)]
-        # One bank per node by default; bank_to_node lets a machine with fewer
-        # banks than nodes place them.
-        if bank_to_node is None:
-            bank_to_node = list(range(node_count))
+    def __init__(self, machine: "Machine"):
+        node_count = machine.node_count
+        bank_to_node = machine.bank_to_node
         if any(not 0 <= n < node_count for n in bank_to_node):
             raise ConfigurationError("bank_to_node entries must be node ids")
-        self.bank_to_node = bank_to_node
+        self.machine = machine
+        self.l1s: List[L1Cache] = [
+            L1Cache(n, machine.l1_config) for n in range(node_count)
+        ]
         self.l2_banks: List[L2Bank] = [
-            L2Bank(b, node, l2_config) for b, node in enumerate(bank_to_node)
+            L2Bank(b, node, machine.l2_config) for b, node in enumerate(bank_to_node)
         ]
 
-    def node_of_bank(self, bank_id: int) -> int:
-        """Mesh node hosting L2 bank ``bank_id``."""
-        return self.bank_to_node[bank_id]
+    def walk(
+        self,
+        node: int,
+        array: str,
+        index: int,
+        forced_l1: Optional[Callable[[int], bool]] = None,
+        mc_override: Optional[Dict[int, int]] = None,
+    ) -> Tuple[Optional[int], Optional[int]]:
+        """Serve one access to ``array[index]`` from the core at ``node``.
 
-    def load(self, node_id: int, block: int, home_bank: int) -> AccessOutcome:
-        """A core at ``node_id`` loads ``block`` whose home is ``home_bank``.
+        Returns ``(home, mc)``, the nodes the data legs run between:
 
-        L1 miss -> request goes to the home bank; L2 miss -> memory (the
-        caller charges NoC hops and memory latency).  Both levels are filled
-        on the way back, mirroring the flow of Figure 1.
+        * ``(None, None)`` — an L1 hit, no leg;
+        * ``(home, None)`` — an L2 hit at the home bank: one leg
+          home -> node;
+        * ``(home, mc)`` — an L2 miss: legs mc -> home -> node.
+
+        Loads and stores walk alike (write-allocate): both levels are
+        filled on the way back.  ``forced_l1`` (a block -> hit verdict)
+        replaces the L1's outcome after the real lookup has updated its
+        LRU state; ``mc_override`` (page -> controller node) picks the
+        controller on an L2 miss.  Only the simulator's isolation studies
+        pass either (Figures 18 and 23).
         """
-        l1_hit = self.l1s[node_id].access(block)
-        if l1_hit:
-            return AccessOutcome(True, True, self.node_of_bank(home_bank))
-        l2_hit = self.l2_banks[home_bank].access(block)
-        return AccessOutcome(False, l2_hit, self.node_of_bank(home_bank))
-
-    def store(self, node_id: int, block: int, home_bank: int) -> AccessOutcome:
-        """A store: write-allocate into L1 and home L2 bank.
-
-        Modeled identically to a load for movement purposes — the paper's
-        metric counts links traversed, and the result travels to the store
-        node either way.
-        """
-        return self.load(node_id, block, home_bank)
-
-    def l1_hit_rate(self) -> float:
-        """Chip-wide L1 hit rate."""
-        hits = sum(c.hits for c in self.l1s)
-        accesses = sum(c.accesses for c in self.l1s)
-        return hits / accesses if accesses else 0.0
-
-    def l2_hit_rate(self) -> float:
-        """Chip-wide L2 hit rate (of L1 misses)."""
-        hits = sum(b.hits for b in self.l2_banks)
-        accesses = sum(b.accesses for b in self.l2_banks)
-        return hits / accesses if accesses else 0.0
-
-    def reset_stats(self) -> None:
-        for cache in self.l1s:
-            cache.reset_stats()
-        for bank in self.l2_banks:
-            bank.reset_stats()
-
-    def clear(self) -> None:
-        for cache in self.l1s:
-            cache.clear()
-        for bank in self.l2_banks:
-            bank.clear()
+        machine = self.machine
+        layout = machine.layout
+        block = layout.block_of(array, index)
+        hit = self.l1s[node].access(block)
+        if forced_l1 is not None:
+            hit = forced_l1(block)
+        if hit:
+            return None, None
+        home = machine.home_node(array, index)
+        if self.l2_banks[layout.l2_bank_of(array, index)].access(block):
+            return home, None
+        mc = None
+        if mc_override:
+            mc = mc_override.get(layout.page_of(array, index))
+        if mc is None:
+            mc = machine.mc_node(array, index, requester=node)
+        return home, mc

@@ -187,12 +187,7 @@ def train_predictor(
     default execution order.
     """
     program.declare_on(machine)
-    caches = CacheSystem(
-        machine.node_count,
-        machine.l1_config,
-        machine.l2_config,
-        machine.bank_to_node,
-    )
+    caches = CacheSystem(machine)
     seen = 0
     for instance in program.instances():
         for access in instance.accesses():

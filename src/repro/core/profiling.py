@@ -6,10 +6,12 @@ assigns iteration chunks "to the most beneficial core using profile data"
 same spirit, the partitioner decides *statically, per program statement*
 whether splitting pays:
 
-1. simulate the default execution of a sample of each nest through real L1
-   caches and L2 banks, measuring each static statement's true average data
-   movement (operand fetches that miss L1 travel home->core; L2 misses add
-   the MC leg; the store travels as well);
+1. replay the default execution of a sample of each nest through the
+   simulator's cache walk (:meth:`repro.cache.hierarchy.CacheSystem.walk`),
+   measuring each static statement's true average data movement: each
+   distinct block an instance touches is charged the walk's legs
+   (home->core on an L1 miss, plus MC->home on an L2 miss) in mesh hops,
+   the store included;
 2. measure the same statements' average MST weight (the movement a split
    schedule would incur — accurate because split gathers happen *at* the
    data's home banks);
@@ -68,17 +70,18 @@ def profile_statements(
 ) -> Dict[StatementKey, StatementProfile]:
     """Measure star vs MST movement for every static statement.
 
-    The cache simulation mirrors the execution engine's access flow but
-    only tracks movement, so it is cheap enough to run over a large sample.
+    The star side walks the same caches as the execution engine but keeps
+    only movement (no timing), so it is cheap enough to run over a large
+    sample; a block an instance touches twice is charged once.
     The MST side uses the nest's split templates
     (:mod:`repro.core.vectorized`), from ``session``'s caches when given.
     """
     program.declare_on(machine)
     session = session_or_default(session, machine, WindowConfig())
     fallback_nodes = fallback_nodes or {}
-    caches = CacheSystem(
-        machine.node_count, machine.l1_config, machine.l2_config, machine.bank_to_node
-    )
+    caches = CacheSystem(machine)
+    walk = caches.walk
+    distance = machine.distance
     layout = machine.layout
     star_sum: Dict[StatementKey, float] = {}
     mst_sum: Dict[StatementKey, float] = {}
@@ -106,14 +109,12 @@ def profile_statements(
                 if block in seen_blocks:
                     continue
                 seen_blocks.add(block)
-                if caches.l1s[node].access(block):
+                home, mc = walk(node, access.array, access.index)
+                if home is None:
                     continue
-                bank = layout.l2_bank_of(access.array, access.index)
-                home = machine.home_node(access.array, access.index)
-                movement += machine.distance(home, node)
-                if not caches.l2_banks[bank].access(block):
-                    mc = machine.mc_node(access.array, access.index, requester=node)
-                    movement += machine.distance(mc, home)
+                movement += distance(home, node)
+                if mc is not None:
+                    movement += distance(mc, home)
             key = instance.static_key
             star_sum[key] = star_sum.get(key, 0.0) + movement
             counts[key] = counts.get(key, 0) + 1

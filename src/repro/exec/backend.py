@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.arch.machine import Machine
 from repro.core.subcomputation import Subcomputation
 from repro.errors import ConfigurationError
-from repro.sim.engine import SimConfig, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.metrics import SimMetrics
 
 #: Backend names accepted by ``--backend`` everywhere (CLI, serve).
@@ -87,10 +87,7 @@ class Backend:
     name: str
 
     def run(
-        self,
-        machine: Machine,
-        units: Sequence[Subcomputation],
-        sim_config: Optional[SimConfig] = None,
+        self, machine: Machine, units: Sequence[Subcomputation]
     ) -> ExecutionResult:
         """Execute ``units`` on ``machine``; returns the accounting."""
         raise NotImplementedError
@@ -99,7 +96,7 @@ class Backend:
 class SimBackend(Backend):
     """The event simulator behind the :class:`Backend` protocol.
 
-    A thin adapter: :meth:`run` is ``Simulator(machine, config).run``
+    A thin adapter: :meth:`run` is ``Simulator(machine).run``
     with the metrics re-exposed as an :class:`ExecutionResult`.  Nothing
     about the simulation changes — the default execution path stays
     bit-identical to pre-protocol behavior.
@@ -108,13 +105,10 @@ class SimBackend(Backend):
     name = "sim"
 
     def run(
-        self,
-        machine: Machine,
-        units: Sequence[Subcomputation],
-        sim_config: Optional[SimConfig] = None,
+        self, machine: Machine, units: Sequence[Subcomputation]
     ) -> ExecutionResult:
         """Simulate ``units``; the full :class:`SimMetrics` ride along."""
-        metrics = Simulator(machine, sim_config or SimConfig()).run(units)
+        metrics = Simulator(machine).run(units)
         return ExecutionResult(
             backend=self.name,
             data_movement=metrics.data_movement,

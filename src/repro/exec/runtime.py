@@ -10,23 +10,23 @@ memory-order arcs (flow/anti/output, :class:`repro.sim.engine.MemoryOrder`) are
 added so runtime execution respects the same ordering the simulator
 enforces.
 
-Placement is *logical-device* based, following Parla: the mesh's four
-quadrants are the device classes, and every task is spawned with
-``placement=device_of(its mesh node)``.  Data movement is observed, not
-modeled: a :class:`DataStore` tracks where blocks live while tasks run —
+Each task runs its unit at the unit's mesh node.  Data movement is
+observed as tasks run: a :class:`DataStore` tracks where blocks live —
 bounded per-node replica sets with the machine's own L1/L2 cache
-geometry, homed at the SNUCA bank — and every remote fill or cross-node
-result message is charged as XY-route flit-hops through a
-:class:`~repro.noc.traffic.TrafficMatrix` — the same per-link accounting
-the simulator uses, so the two backends' movement totals are directly
-comparable (see :data:`MOVEMENT_AGREEMENT_TOLERANCE`).
+geometry, homed at the SNUCA bank, served by the same
+:meth:`~repro.cache.hierarchy.CacheSystem.walk` the simulator uses — and
+every remote fill or cross-node result message is charged as XY-route
+flit-hops through a :class:`~repro.noc.traffic.TrafficMatrix`, the same
+per-link accounting the simulator uses.  The two backends' movement
+totals therefore differ only where their dispatch orders do (see
+:data:`MOVEMENT_AGREEMENT_TOLERANCE`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.arch.machine import Machine
 from repro.cache.hierarchy import CacheSystem
@@ -36,7 +36,7 @@ from repro.exec.backend import Backend, ExecutionResult
 from repro.exec.taskspace import TaskRuntime, TaskSpace, spawn
 from repro.ir.statement import Access
 from repro.noc.traffic import TrafficMatrix
-from repro.sim.engine import MemoryOrder, SimConfig
+from repro.sim.engine import MemoryOrder
 
 #: Documented relative tolerance for the movement-agreement check:
 #: ``|runtime_observed - sim_forecast| <= tolerance * sim_forecast``.
@@ -46,47 +46,14 @@ from repro.sim.engine import MemoryOrder, SimConfig
 #: workloads (minimd, ocean, fft, lu, radix).  With ``workers > 1`` the
 #: OS interleaving perturbs the replica caches' fill order; measured
 #: disagreement at 4 workers stays under 0.7% on the same workloads, so
-#: 0.05 absorbs scheduling jitter with margin while still failing loudly
-#: on any accounting bug (dropping the MC leg or the result messages
-#: shifts totals by 10%+).  Seeded-random dispatch is *excluded* from
-#: this contract: its whole point is to scramble the execution order,
-#: which legitimately changes what the bounded replica caches observe.
+#: 0.05 absorbs scheduling jitter with margin.  Both backends charge
+#: accesses through the one cache walk, so the tolerance guards dispatch
+#: order, not a second copy of the charging rule; dropping the result
+#: messages still shifts totals by 10%+.  Seeded-random dispatch is
+#: *excluded* from this contract: its whole point is to scramble the
+#: execution order, which legitimately changes what the bounded replica
+#: caches observe.
 MOVEMENT_AGREEMENT_TOLERANCE = 0.05
-
-
-class LogicalDevice:
-    """One placement device class: a quadrant's worth of mesh nodes."""
-
-    def __init__(self, index: int, nodes: Tuple[int, ...]):
-        self.index = index
-        self.nodes = nodes
-
-    @property
-    def name(self) -> str:
-        return f"quad{self.index}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LogicalDevice {self.name} nodes={len(self.nodes)}>"
-
-
-class DeviceMap:
-    """Mesh nodes -> logical device classes (one device per quadrant).
-
-    Mirrors how the machine's QUADRANT cluster mode carves the chip; on
-    degenerate meshes some quadrants may be empty, which is fine — only
-    devices that own nodes ever receive a placement.
-    """
-
-    def __init__(self, machine: Machine):
-        self.machine = machine
-        self.devices: Tuple[LogicalDevice, ...] = tuple(
-            LogicalDevice(q, tuple(machine.mesh.nodes_in_quadrant(q)))
-            for q in range(4)
-        )
-
-    def device_of(self, node: int) -> LogicalDevice:
-        """The logical device class that owns mesh node ``node``."""
-        return self.devices[self.machine.mesh.quadrant_of(node)]
 
 
 class DataStore:
@@ -96,14 +63,10 @@ class DataStore:
     real :class:`~repro.cache.hierarchy.CacheSystem` with the machine's
     own L1/L2 geometry (bounded LRU lines, SNUCA home banks), so the
     movement a task causes is what the machine would cause, not what an
-    unbounded directory would:
-
-    * a local replica hit moves nothing;
-    * a home-bank hit charges XY hops home -> node;
-    * a cold or evicted block charges the memory-controller leg too
-      (MC -> home -> node), Figure 1's steps 2..5;
-    * a store write-allocates at the executing node through the same
-      path, mirroring the simulator's treatment of ``unit.store``.
+    unbounded directory would.  Its :meth:`CacheSystem.walk` names the
+    legs (none on a replica hit, home -> node on a home-bank hit,
+    MC -> home -> node on a cold or evicted block; stores write-allocate)
+    and the store charges each as XY flit-hops.
 
     All charging happens under one lock: task bodies on many worker
     threads share the caches and the traffic matrix, and neither is
@@ -111,49 +74,27 @@ class DataStore:
     """
 
     def __init__(self, machine: Machine, traffic: TrafficMatrix):
-        self.machine = machine
         self.traffic = traffic
-        self.caches = CacheSystem(
-            machine.node_count,
-            machine.l1_config,
-            machine.l2_config,
-            machine.bank_to_node,
-        )
+        self.caches = CacheSystem(machine)
         self._lock = threading.Lock()
-        self.inter_device_messages = 0
-        self.replica_hits = 0
-        self.home_fills = 0
-        self.memory_fills = 0
-        self._quad = machine.mesh.quadrant_of
 
     def _charge(self, src: int, dst: int) -> int:
         """Record one block message ``src -> dst`` (0 hops if local)."""
         if src == dst:
             return 0
-        if self._quad(src) != self._quad(dst):
-            self.inter_device_messages += 1
         return self.traffic.record(src, dst)
 
     def access(self, access: Access, node: int) -> int:
         """Touch ``access`` at ``node``; returns the flit-hops charged.
 
-        Reads and stores take the same path (write-allocate), exactly as
-        the simulator drives its cache system.
+        Reads and stores take the same cache walk as the simulator's.
         """
-        machine = self.machine
-        layout = machine.layout
-        block = layout.block_of(access.array, access.index)
-        bank = layout.l2_bank_of(access.array, access.index)
         with self._lock:
-            if self.caches.l1s[node].access(block):
-                self.replica_hits += 1
+            home, mc = self.caches.walk(node, access.array, access.index)
+            if home is None:
                 return 0
-            home = machine.home_node(access.array, access.index)
-            if self.caches.l2_banks[bank].access(block):
-                self.home_fills += 1
+            if mc is None:
                 return self._charge(home, node)
-            self.memory_fills += 1
-            mc = machine.mc_node(access.array, access.index, requester=node)
             return self._charge(mc, home) + self._charge(home, node)
 
     def result_message(self, producer_node: int, consumer_node: int) -> int:
@@ -183,10 +124,7 @@ class RuntimeBackend(Backend):
         self.seed = seed
 
     def run(
-        self,
-        machine: Machine,
-        units: Sequence[Subcomputation],
-        sim_config: Optional[SimConfig] = None,
+        self, machine: Machine, units: Sequence[Subcomputation]
     ) -> ExecutionResult:
         """Execute ``units`` concurrently; returns observed accounting."""
         specs = task_specs(units)
@@ -194,7 +132,6 @@ class RuntimeBackend(Backend):
         traffic = TrafficMatrix(machine.mesh, router=machine.router)
         store = DataStore(machine, traffic)
         space = TaskSpace("U")
-        devices = DeviceMap(machine)
 
         sync_total = [0]
         sync_lock = threading.Lock()
@@ -245,7 +182,6 @@ class RuntimeBackend(Backend):
             spawn(
                 space[spec.uid],
                 dependencies=handles,
-                placement=devices.device_of(spec.node),
                 # Dispatch ready tasks in (seq, uid) order — the same
                 # tie-break the simulator's ready heap uses, so the
                 # unseeded single-worker run replays its access order.

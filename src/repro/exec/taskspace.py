@@ -2,9 +2,8 @@
 
 Modeled on Parla's ``TaskSpace`` / ``@spawn`` idiom (SNIPPETS.md lessons
 4-5): tasks are named handles in a :class:`TaskSpace`, spawned with a
-dependency list and a logical-device placement, and executed by a
-:class:`TaskRuntime` on host threads once every dependency has
-completed.  The runtime is deliberately small — dependency counting, a
+dependency list and executed by a :class:`TaskRuntime` on host threads
+once every dependency has completed.  The runtime is deliberately small — dependency counting, a
 ready queue, worker threads — but it is a *real* concurrent scheduler:
 task bodies run on OS threads, and completion order is whatever the
 scheduler produces, not what a simulator models.
@@ -39,14 +38,13 @@ class TaskError(ReproError):
 
 
 class TaskHandle:
-    """One named task: body, dependencies, placement, completion state."""
+    """One named task: body, dependencies, completion state."""
 
     def __init__(self, space: "TaskSpace", key: Hashable):
         self.space = space
         self.key = key
         self.fn: Optional[Callable[[], Any]] = None
         self.dependencies: List["TaskHandle"] = []
-        self.placement: Any = None
         self.priority: Tuple = ()
         self.result: Any = None
         self.done = threading.Event()
@@ -87,9 +85,6 @@ class TaskSpace:
     def __len__(self) -> int:
         return len(self._tasks)
 
-    def __iter__(self):
-        return iter(self._tasks.values())
-
     def spawned(self) -> List[TaskHandle]:
         """Every handle that has a body attached."""
         return [t for t in self._tasks.values() if t.spawned]
@@ -98,15 +93,13 @@ class TaskSpace:
 def spawn(
     handle: TaskHandle,
     dependencies: Sequence[TaskHandle] = (),
-    placement: Any = None,
     priority: Tuple = (),
 ) -> Callable[[Callable[[], Any]], TaskHandle]:
     """Attach a body to ``handle`` — Parla's ``@spawn`` shape.
 
     Usage::
 
-        @spawn(space[uid], dependencies=[space[d] for d in deps],
-               placement=device)
+        @spawn(space[uid], dependencies=[space[d] for d in deps])
         def body():
             ...
 
@@ -122,7 +115,6 @@ def spawn(
             raise TaskError(f"task {handle.name} spawned twice")
         handle.fn = fn
         handle.dependencies = list(dependencies)
-        handle.placement = placement
         handle.priority = tuple(priority)
         return handle
 

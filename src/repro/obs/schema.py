@@ -5,8 +5,9 @@ emit one JSON document per application run.  This module is the schema's
 single source of truth: the structure below is what consumers (CI checks,
 regression dashboards, the golden-file tests) may rely on, and
 :func:`validate_report` checks a document against it with no third-party
-dependencies.  Bump :data:`REPORT_SCHEMA_VERSION` on any breaking change
-and keep the old fields readable for one version.
+dependencies.  Only the current version validates: bump
+:data:`REPORT_SCHEMA_VERSION` on any breaking change and regenerate the
+committed reports with it.
 
 Schema (version 4)::
 
@@ -45,7 +46,7 @@ Schema (version 4)::
       },
       "phase_seconds": {"build": ..., "partition": ...,
                         "simulate_default": ..., "simulate_optimized": ...},
-      "pipeline": {                    # v3: the compile pipeline's identity
+      "pipeline": {                    # the compile pipeline's identity
         "pass_order":     ["profile", "predict", "inspect", "split",
                            "schedule", "balance", "sync_minimize"],
         "skipped_passes": [],          # e.g. ["balance"] under --skip-pass
@@ -55,7 +56,7 @@ Schema (version 4)::
         "faults_fingerprint": null,    # or the plan's fingerprint string
         "check": false
       },
-      "execution": {                   # v4: which backend executed the run
+      "execution": {                   # which backend executed the run
         "backend": "sim"               # the default; nothing else to say —
                                        # default/optimized ARE its numbers
         # runtime backend adds its scheduler observations:
@@ -96,13 +97,6 @@ Invariants (checked by :func:`validate_report` beyond field types):
   in range and the ``degraded_vs_healthy`` comparison is numerically
   consistent with its own healthy/degraded operands.
 
-Version history: v1 had no ``faults`` field; v2 added it; v3 added the
-``pipeline`` section (pass order, skipped passes, per-pass wall times,
-session identity); v4 added the ``execution`` section (which backend
-executed the run, and the runtime backend's observed-vs-forecast
-movement agreement).  v1 through v3 documents still validate — each
-section is required only from the version that introduced it.
-
 Validate from the command line (exit code 0 = valid)::
 
     python -m repro.obs.schema report.json
@@ -116,10 +110,6 @@ from typing import Any, Dict, List
 
 REPORT_SCHEMA_VERSION = 4
 REPORT_KIND = "repro.report"
-
-#: schema versions validate_report still accepts
-#: (v1 = pre-faults, v2 = pre-pipeline, v3 = pre-execution).
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
 
 #: backend names an ``execution`` section may carry.
 EXECUTION_BACKENDS = ("sim", "runtime")
@@ -198,7 +188,7 @@ _FAULT_COMPARISON_FIELDS = (
     "time_overhead",
 )
 
-#: required fields of the ``pipeline`` section (v3+).
+#: required fields of the ``pipeline`` section.
 _PIPELINE_FIELDS: Dict[str, Any] = {
     "pass_order": list,
     "skipped_passes": list,
@@ -207,7 +197,7 @@ _PIPELINE_FIELDS: Dict[str, Any] = {
     "config": dict,
 }
 
-#: required fields of the ``execution`` section (v4+) when the backend
+#: required fields of the ``execution`` section when the backend
 #: is the task runtime; a sim execution carries only the backend name.
 _RUNTIME_EXECUTION_FIELDS: Dict[str, Any] = {
     "workers": int,
@@ -238,9 +228,7 @@ def validate_report(report: Any) -> List[str]:
     An empty list means the document is valid.  Checks structure, field
     types, and the cross-field invariants documented in the module
     docstring (heatmap sums, link endpoint sanity, fault-section
-    consistency).  Accepts every version in
-    :data:`SUPPORTED_SCHEMA_VERSIONS`; the ``faults`` field is required
-    (though nullable) only from version 2 on.
+    consistency).  Accepts :data:`REPORT_SCHEMA_VERSION` only.
     """
     errors: List[str] = []
     if not isinstance(report, dict):
@@ -249,10 +237,10 @@ def validate_report(report: Any) -> List[str]:
     if errors:
         return errors
 
-    if report["schema_version"] not in SUPPORTED_SCHEMA_VERSIONS:
+    if report["schema_version"] != REPORT_SCHEMA_VERSION:
         errors.append(
-            f"report.schema_version: expected one of "
-            f"{SUPPORTED_SCHEMA_VERSIONS}, got {report['schema_version']!r}"
+            f"report.schema_version: only version {REPORT_SCHEMA_VERSION} "
+            f"is supported, got {report['schema_version']!r}"
         )
     if report["kind"] != REPORT_KIND:
         errors.append(f"report.kind: expected {REPORT_KIND!r}")
@@ -290,30 +278,25 @@ def validate_report(report: Any) -> List[str]:
 
     errors.extend(_validate_heatmap(report))
 
-    if report.get("schema_version") != 1:
-        if "faults" not in report:
-            errors.append("report: missing field 'faults' (nullable from v2)")
-        elif report["faults"] is not None:
-            errors.extend(_validate_faults(report))
+    if "faults" not in report:
+        errors.append("report: missing field 'faults' (nullable)")
+    elif report["faults"] is not None:
+        errors.extend(_validate_faults(report))
 
-    if report.get("schema_version") not in (1, 2):
-        if "pipeline" not in report:
-            errors.append("report: missing field 'pipeline' (required from v3)")
-        else:
-            errors.extend(_validate_pipeline(report["pipeline"]))
+    if "pipeline" not in report:
+        errors.append("report: missing field 'pipeline'")
+    else:
+        errors.extend(_validate_pipeline(report["pipeline"]))
 
-    if report.get("schema_version") not in (1, 2, 3):
-        if "execution" not in report:
-            errors.append(
-                "report: missing field 'execution' (required from v4)"
-            )
-        else:
-            errors.extend(_validate_execution(report["execution"]))
+    if "execution" not in report:
+        errors.append("report: missing field 'execution'")
+    else:
+        errors.extend(_validate_execution(report["execution"]))
     return errors
 
 
 def _validate_execution(execution: Any) -> List[str]:
-    """Structural checks of the v4 ``execution`` section."""
+    """Structural checks of the ``execution`` section."""
     errors: List[str] = []
     if not isinstance(execution, dict):
         return ["execution: expected an object"]
@@ -353,7 +336,7 @@ def _validate_execution(execution: Any) -> List[str]:
 
 
 def _validate_pipeline(pipeline: Any) -> List[str]:
-    """Structural checks of the v3 ``pipeline`` section."""
+    """Structural checks of the ``pipeline`` section."""
     errors: List[str] = []
     if not isinstance(pipeline, dict):
         return ["pipeline: expected an object"]

@@ -143,12 +143,7 @@ class Simulator:
     def __init__(self, machine: Machine, config: SimConfig = SimConfig()):
         self.machine = machine
         self.config = config
-        self.caches = CacheSystem(
-            machine.node_count,
-            machine.l1_config,
-            machine.l2_config,
-            machine.bank_to_node,
-        )
+        self.caches = CacheSystem(machine)
         # A machine with an applied fault plan routes through its
         # fault-aware router (detours charge their true link count); a
         # pristine machine keeps the plain XY fast path, bit-identical to
@@ -159,6 +154,11 @@ class Simulator:
         self.network = NetworkModel(machine.mesh, config.network, router=router)
         self.energy_model = EnergyModel(config.energy)
         self._forced_counter = 0
+        self._forced_l1 = (
+            self._forced_l1_outcome
+            if config.forced_l1_hit_rate is not None
+            else None
+        )
         # Fast-path distance callable (nested-list indexing, no bounds
         # checks): all simulated src/dst are valid mesh node ids.
         self._manhattan = machine.mesh.distance_fn()
@@ -206,30 +206,24 @@ class Simulator:
         return value < rate * (1 << 20)
 
     def _access(self, node: int, array: str, index: int, seq: int, metrics: SimMetrics) -> float:
-        """One load at ``node``; returns its latency contribution."""
-        machine = self.machine
-        config = self.config
-        layout = machine.layout
-        block = layout.block_of(array, index)
-        bank = layout.l2_bank_of(array, index)
-        home = machine.home_node(array, index)
+        """One load at ``node``; returns its latency contribution.
 
-        real_hit = self.caches.l1s[node].access(block)
-        l1_hit = (
-            self._forced_l1_outcome(block)
-            if config.forced_l1_hit_rate is not None
-            else real_hit
+        The cache walk decides which legs the access moves; the simulator
+        adds their latency, energy and memory time.
+        """
+        config = self.config
+        home, mc = self.caches.walk(
+            node, array, index, self._forced_l1, config.mc_override
         )
         latency = config.l1_latency
-        if l1_hit:
+        if home is None:
             metrics.l1_hits += 1
             return latency
         metrics.l1_misses += 1
 
         latency += self._request_latency(node, home)
-        l2_hit = self.caches.l2_banks[bank].access(block)
         latency += config.l2_latency
-        if l2_hit:
+        if mc is None:
             metrics.l2_hits += 1
             latency += self._message(home, node, seq, metrics)
             return latency
@@ -237,13 +231,7 @@ class Simulator:
 
         # L2 miss: forward to the serving controller, then data flows
         # MC -> home bank -> requesting L1 (Figure 1's steps 2..5).
-        if config.mc_override:
-            page = layout.page_of(array, index)
-            mc = config.mc_override.get(
-                page, machine.mc_node(array, index, requester=node)
-            )
-        else:
-            mc = machine.mc_node(array, index, requester=node)
+        machine = self.machine
         latency += self._request_latency(home, mc)
         memory_cycles = machine.memory_access_cycles(array, index)
         latency += memory_cycles

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arch.knl import small_machine
 from repro.cache.hierarchy import CacheSystem
 from repro.cache.predictor import HitMissPredictor
 from repro.cache.sram import CacheConfig, SetAssocCache
@@ -109,53 +110,90 @@ class TestSetAssocCache:
 
 
 class TestCacheSystem:
+    """The one cache walk: which level serves an access, and its legs."""
+
     def make(self):
-        return CacheSystem(
-            4,
-            CacheConfig(512, 2, 64),
-            CacheConfig(4096, 4, 64),
-        )
+        machine = small_machine()
+        machine.declare_array("A", 512)
+        return machine, CacheSystem(machine)
 
-    def test_load_fills_both_levels(self):
-        system = self.make()
-        outcome = system.load(0, block=7, home_bank=2)
-        assert not outcome.l1_hit and not outcome.l2_hit
-        assert outcome.went_to_memory
-        outcome2 = system.load(0, block=7, home_bank=2)
-        assert outcome2.l1_hit
-
-    def test_l2_shared_across_nodes(self):
-        system = self.make()
-        system.load(0, block=7, home_bank=2)
-        outcome = system.load(1, block=7, home_bank=2)  # L1 miss, L2 hit
-        assert not outcome.l1_hit and outcome.l2_hit
+    @staticmethod
+    def remote_node(machine, index):
+        """A node that is not the home of ``A[index]``."""
+        home = machine.home_node("A", index)
+        return next(n for n in range(machine.node_count) if n != home)
 
     def test_home_node_reported(self):
-        system = self.make()
-        assert system.load(0, 1, home_bank=3).home_node == 3
+        """A cold miss charges MC -> home and home -> node."""
+        machine, system = self.make()
+        node = self.remote_node(machine, 5)
+        home, mc = system.walk(node, "A", 5)
+        assert home == machine.home_node("A", 5)
+        assert mc == machine.mc_node("A", 5, requester=node)
 
-    def test_hit_rates(self):
-        system = self.make()
-        system.load(0, 1, 0)
-        system.load(0, 1, 0)
-        assert system.l1_hit_rate() == pytest.approx(0.5)
+    def test_l1_hit_has_no_leg(self):
+        machine, system = self.make()
+        system.walk(0, "A", 5)
+        assert system.walk(0, "A", 5) == (None, None)
+
+    def test_l2_shared_across_nodes(self):
+        """An L2 hit charges home -> node only."""
+        machine, system = self.make()
+        system.walk(0, "A", 5)
+        home, mc = system.walk(1, "A", 5)  # L1 miss at node 1, L2 hit
+        assert home == machine.home_node("A", 5)
+        assert mc is None
+
+    def test_load_fills_both_levels(self):
+        """Loads and stores alike (write-allocate) fill L1 and home bank."""
+        machine, system = self.make()
+        node = self.remote_node(machine, 9)
+        block = machine.layout.block_of("A", 9)
+        bank = machine.layout.l2_bank_of("A", 9)
+        system.walk(node, "A", 9)
+        assert system.l1s[node].contains(block)
+        assert system.l2_banks[bank].contains(block)
+
+    def test_forced_l1_verdict_still_updates_real_l1(self):
+        machine, system = self.make()
+        block = machine.layout.block_of("A", 3)
+        bank = machine.layout.l2_bank_of("A", 3)
+        # A forced hit on a cold block: no leg, but the real L1 filled.
+        assert system.walk(0, "A", 3, forced_l1=lambda b: True) == (None, None)
+        assert system.l1s[0].contains(block)
+        assert system.l2_banks[bank].accesses == 0
+        # A forced miss on the now-resident block: the real lookup hits
+        # (LRU updated) and the walk still goes on to the L2.
+        home, mc = system.walk(0, "A", 3, forced_l1=lambda b: False)
+        assert system.l1s[0].hits == 1
+        assert home == machine.home_node("A", 3)
+        assert mc is not None
+
+    def test_mc_override_applies_only_on_l2_miss(self):
+        machine, system = self.make()
+        page = machine.layout.page_of("A", 7)
+        default_mc = machine.mc_node("A", 7, requester=0)
+        target = next(n for n in machine.mc_nodes if n != default_mc)
+
+        class Recording(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                Recording.lookups += 1
+                return super().get(key, default)
+
+        override = Recording({page: target})
+        assert system.walk(0, "A", 7, mc_override=override)[1] == target
+        assert Recording.lookups == 1
+        # Node 1 misses its L1 but hits the L2: the override is not read.
+        assert system.walk(1, "A", 7, mc_override=override)[1] is None
+        assert Recording.lookups == 1
 
     def test_bank_to_node_validation(self):
+        machine = small_machine()
+        machine.bank_to_node = [0, 7 * machine.node_count]
         with pytest.raises(ConfigurationError):
-            CacheSystem(2, CacheConfig(512, 2), CacheConfig(512, 2), [0, 7])
-
-    def test_reset_stats_keeps_contents(self):
-        system = self.make()
-        system.load(0, 1, 0)
-        system.reset_stats()
-        assert system.l1s[0].accesses == 0
-        assert system.l1s[0].contains(1)
-
-    def test_clear_drops_contents(self):
-        system = self.make()
-        system.load(0, 1, 0)
-        system.clear()
-        assert not system.l1s[0].contains(1)
+            CacheSystem(machine)
 
 
 class TestHitMissPredictor:

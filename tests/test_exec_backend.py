@@ -16,13 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arch.knl import small_machine
+from repro.cache.hierarchy import CacheSystem
 from repro.core.codegen import task_specs
 from repro.errors import ConfigurationError
 from repro.exec import BACKEND_NAMES, SimBackend, get_backend
 from repro.exec.backend import ExecutionResult
 from repro.exec.runtime import (
     MOVEMENT_AGREEMENT_TOLERANCE,
-    DeviceMap,
     RuntimeBackend,
     movement_agreement,
 )
@@ -139,6 +139,27 @@ class TestRuntimeBackend:
         ) == 0.0
         assert sum(execution.link_flits.values()) == execution.data_movement
 
+    def test_both_backends_consume_the_one_cache_walk(self, compiled, monkeypatch):
+        """Planted drift: a walk that drops the MC leg moves both totals
+        down together, so one-worker agreement stays exact."""
+        machine, units = compiled
+        forecast = sim_forecast(machine, units)
+        execution = run_runtime(machine, units, workers=1)
+        real_walk = CacheSystem.walk
+
+        def walk_without_mc_leg(self, *args, **kwargs):
+            home, _mc = real_walk(self, *args, **kwargs)
+            return home, None
+
+        monkeypatch.setattr(CacheSystem, "walk", walk_without_mc_leg)
+        drifted_forecast = sim_forecast(machine, units)
+        drifted = run_runtime(machine, units, workers=1)
+        assert drifted_forecast.data_movement < forecast.data_movement
+        assert drifted.data_movement < execution.data_movement
+        assert movement_agreement(
+            drifted.data_movement, drifted_forecast.data_movement
+        ) == 0.0
+
     def test_multi_worker_agrees_within_tolerance(self, compiled):
         machine, units = compiled
         forecast = sim_forecast(machine, units)
@@ -160,14 +181,6 @@ class TestRuntimeBackend:
         second = run_runtime(machine, units, workers=1, seed=11)
         assert first.completion_order == second.completion_order
         assert first.data_movement == second.data_movement
-
-    def test_placement_covers_every_unit_node(self, compiled):
-        machine, units = compiled
-        devices = DeviceMap(machine)
-        for spec in task_specs(units):
-            device = devices.device_of(spec.node)
-            assert spec.node in device.nodes
-            assert device.name.startswith("quad")
 
     @settings(
         max_examples=8,

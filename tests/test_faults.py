@@ -370,17 +370,6 @@ def test_report_healthy_run_has_null_faults():
     assert "simulate_healthy" not in report["phase_seconds"]
 
 
-def test_v1_reports_without_faults_field_still_validate():
-    from repro.obs.report import build_report
-    from repro.obs.schema import validate_report
-
-    report = build_report("tiny")
-    legacy = dict(report)
-    legacy.pop("faults")
-    legacy["schema_version"] = 1
-    assert validate_report(legacy) == []
-
-
 # -- CLI front-ends --------------------------------------------------------
 
 

@@ -138,11 +138,24 @@ class TestRuntimeBackendReport:
 
 
 class TestSchemaV4Validation:
-    def test_v3_report_without_execution_still_validates(self, tiny_report):
+    @pytest.mark.parametrize(
+        "version, dropped",
+        [
+            pytest.param(1, ("faults", "pipeline", "execution"), id="v1"),
+            pytest.param(2, ("pipeline", "execution"), id="v2"),
+            pytest.param(3, ("execution",), id="v3"),
+        ],
+    )
+    def test_retired_versions_are_rejected(self, tiny_report, version, dropped):
         old = copy.deepcopy(tiny_report)
-        old["schema_version"] = 3
-        del old["execution"]
-        assert validate_report(old) == []
+        old["schema_version"] = version
+        for name in dropped:
+            del old[name]
+        errors = validate_report(old)
+        assert any(
+            f"only version {REPORT_SCHEMA_VERSION} is supported" in e
+            for e in errors
+        ), errors
 
     def test_v4_requires_execution(self, tiny_report):
         bad = copy.deepcopy(tiny_report)
